@@ -235,17 +235,14 @@ def validate_chain(chain: Chain) -> ChainFault | None:
             return ChainFault(i, "tx merkle root mismatch")
         if block.validator_public_key not in chain.authority_set:
             return ChainFault(i, "validator not in authority set")
+        digest = block.header_digest()
         try:
-            ok = verify(
-                block.header_digest(),
-                block.validator_signature,
-                block.validator_public_key,
-            )
+            ok = verify(digest, block.validator_signature, block.validator_public_key)
         except ValueError:
             ok = False
         if not ok:
             return ChainFault(i, "validator signature invalid")
-        prev_digest = block.header_digest()
+        prev_digest = digest
     return None
 
 

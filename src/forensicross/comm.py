@@ -177,37 +177,31 @@ class VerificationContract:
     ) -> tuple[LedgerEntry, VerifyStatus, bool]:
         """Count one submission; returns (entry, status, was_duplicate).
 
+        Checks run in this order: duplicate, resolved, signature, count.
         A node's second submission for the same origin tx is ignored and
-        recorded; a resolved entry never changes status again.
+        recorded. A resolved entry never changes status again, so its
+        envelopes are not verified. An envelope from an unknown translator
+        node, or with a forged signature, is not counted.
         """
         entry = self.entry_for(envelope.origin_tx_id, expected, tick)
         if envelope.translator_node in entry.submissions:
             entry.duplicate_nodes.append(envelope.translator_node)
             return entry, entry.status, True
-        if not verify(
-            envelope.attested_bytes(),
-            envelope.translator_signature,
-            self.key_resolver(envelope.translator_node),
-        ):
-            # unsigned/forged envelopes are not counted
-            return entry, entry.status, False
         if entry.status in (VerifyStatus.VALIDATED, VerifyStatus.REJECTED):
+            return entry, entry.status, False
+        try:
+            public_key = self.key_resolver(envelope.translator_node)
+        except KeyError:
+            return entry, entry.status, False
+        if not verify(
+            envelope.attested_bytes(), envelope.translator_signature, public_key
+        ):
             return entry, entry.status, False
         entry.submissions[envelope.translator_node] = envelope
         status = verify_translations(entry)
         if status in (VerifyStatus.VALIDATED, VerifyStatus.REJECTED):
             entry.resolved_tick = tick
         return entry, status, False
-
-    def expire_stale(self, tick: int, timeout: int) -> list[LedgerEntry]:
-        """Mark entries pending past the timeout as expired; returns them."""
-        stalled = []
-        for entry in self.entries.values():
-            if entry.status is VerifyStatus.PENDING and tick - entry.opened_tick >= timeout:
-                entry.status = VerifyStatus.EXPIRED
-                entry.resolved_tick = tick
-                stalled.append(entry)
-        return stalled
 
 
 @dataclass

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -35,7 +36,12 @@ def hash_bytes(data: bytes) -> Digest:
 
 @dataclass(frozen=True)
 class KeyPair:
-    """Ed25519 key pair; private_key is the 32-byte seed."""
+    """Ed25519 key pair; private_key is the 32-byte seed.
+
+    The parsed signing key is built on the first `sign` and cached on the
+    instance (outside `__eq__`, `__hash__` and `repr`). It is not built
+    eagerly: most derived keys never sign, and each parsed key costs memory.
+    """
 
     public_key: bytes
     private_key: bytes
@@ -55,10 +61,17 @@ class KeyPair:
             h.update(label.encode("utf-8") if isinstance(label, str) else label)
         return cls.from_seed(h.digest())
 
+    @cached_property
+    def _signer(self) -> Ed25519PrivateKey:
+        return Ed25519PrivateKey.from_private_bytes(self.private_key)
+
+    def __getstate__(self) -> dict:
+        # the parsed key cannot be pickled; it is rebuilt on the next sign
+        return {"public_key": self.public_key, "private_key": self.private_key}
+
 
 def sign(message: bytes, key: KeyPair) -> bytes:
-    priv = Ed25519PrivateKey.from_private_bytes(key.private_key)
-    return priv.sign(message)
+    return key._signer.sign(message)
 
 
 def verify(message: bytes, signature: bytes, public_key: bytes) -> bool:

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import build_random_chain, mutate_block_somewhere
 from forensicross.chain import (
+    Block,
     Chain,
     EMPTY_BLOCK_MARKER,
     PayloadKind,
@@ -118,6 +119,20 @@ def test_empty_block_uses_empty_marker():
 def test_validate_ok_on_untampered_chain():
     chain, _validators = build_random_chain(random.Random(1), blocks=10)
     assert validate_chain(chain) is None
+
+
+def test_validate_hashes_each_block_header_once(monkeypatch):
+    chain, _validators = build_random_chain(random.Random(2), blocks=6)
+    calls = [0]
+    real_digest = Block.header_digest
+
+    def counting_digest(block):
+        calls[0] += 1
+        return real_digest(block)
+
+    monkeypatch.setattr(Block, "header_digest", counting_digest)
+    assert validate_chain(chain) is None
+    assert calls[0] == len(chain.blocks)
 
 
 def test_validate_localizes_mutated_tx():

@@ -3,7 +3,10 @@ from dataclasses import replace
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from forensicross import comm
 from forensicross.chain import PayloadKind, Transaction, make_transaction
 from forensicross.comm import (
     LedgerEntry,
@@ -17,9 +20,9 @@ from forensicross.comm import (
     translate,
     verify_translations,
 )
-from forensicross.crypto import KeyPair
+from forensicross.crypto import KeyPair, sign
 from forensicross.scenario import FAULT_COMPROMISE, FaultSpec, RULE_EQUIVOCATE
-from forensicross.sim import World, flip_last_byte, make_comparison_scenario
+from forensicross.sim import BRIDGE_CHAIN_ID, World, flip_last_byte, make_comparison_scenario
 from forensicross.topology import Design
 from oracles import majority_status
 
@@ -218,3 +221,150 @@ def test_safety_bound_sweep_small():
             report = route_transaction(_case_tx(world), world)
             malicious_won = report.status == "validated-malicious"
             assert malicious_won == (compromised > n_i / 2), (n_i, compromised)
+
+
+# -- check order in receive ---------------------------------------------------
+
+
+def _validated_contract() -> tuple[VerificationContract, Transaction]:
+    """A contract whose entry for origin_tx() was validated by n0 and n1."""
+    contract = VerificationContract("BRIDGE", lambda node: KEYS[node].public_key)
+    tx = origin_tx()
+    for tick, node in enumerate(("n0", "n1")):
+        envelope = translate(tx, node, MSET, KEYS[node])
+        _entry, status, _dup = contract.receive(envelope, expected=3, tick=tick)
+    assert status is VerifyStatus.VALIDATED
+    return contract, tx
+
+
+def _count_verify_calls(monkeypatch) -> list[int]:
+    calls = [0]
+    real_verify = comm.verify
+
+    def counting_verify(*args):
+        calls[0] += 1
+        return real_verify(*args)
+
+    monkeypatch.setattr(comm, "verify", counting_verify)
+    return calls
+
+
+def _unknown_envelope(tx: Transaction, node: str = "intruder") -> TranslatedEnvelope:
+    envelope = TranslatedEnvelope(
+        tx.tx_id, tx.source_chain, tx.destination_chains,
+        canonical_translation(tx), node, b"",
+    )
+    key = KeyPair.derive("unknown", node)
+    return replace(envelope, translator_signature=sign(envelope.attested_bytes(), key))
+
+
+def test_receive_on_resolved_entry_never_verifies(monkeypatch):
+    contract, tx = _validated_contract()
+    calls = _count_verify_calls(monkeypatch)
+    late = translate(tx, "n2", MSET, KEYS["n2"])
+    forged = replace(late, canonical_body=late.canonical_body + b"!")
+    for envelope in (late, forged):
+        entry, status, dup = contract.receive(envelope, expected=3, tick=5)
+        assert (status, dup) == (VerifyStatus.VALIDATED, False)
+        assert sorted(entry.submissions) == ["n0", "n1"]
+    assert calls[0] == 0
+
+
+def test_forged_envelope_on_pending_entry_is_verified_and_not_counted(monkeypatch):
+    contract = VerificationContract("BRIDGE", lambda node: KEYS[node].public_key)
+    tx = origin_tx()
+    contract.receive(translate(tx, "n0", MSET, KEYS["n0"]), expected=3, tick=0)
+    calls = _count_verify_calls(monkeypatch)
+    honest = translate(tx, "n1", MSET, KEYS["n1"])
+    forged = replace(honest, translator_signature=sign(honest.attested_bytes(), KEYS["n2"]))
+    entry, status, dup = contract.receive(forged, expected=3, tick=1)
+    assert calls[0] == 1
+    assert (status, dup) == (VerifyStatus.PENDING, False)
+    assert list(entry.submissions) == ["n0"]
+
+
+def test_unknown_translator_is_not_counted_on_pending_entry():
+    contract = VerificationContract("BRIDGE", lambda node: KEYS[node].public_key)
+    tx = origin_tx()
+    contract.receive(translate(tx, "n0", MSET, KEYS["n0"]), expected=3, tick=0)
+    entry, status, dup = contract.receive(_unknown_envelope(tx), expected=3, tick=1)
+    assert (status, dup) == (VerifyStatus.PENDING, False)
+    assert list(entry.submissions) == ["n0"]
+
+
+def test_unknown_translator_is_not_counted_on_resolved_entry():
+    contract, tx = _validated_contract()
+    entry, status, dup = contract.receive(_unknown_envelope(tx), expected=3, tick=5)
+    assert (status, dup) == (VerifyStatus.VALIDATED, False)
+    assert sorted(entry.submissions) == ["n0", "n1"]
+
+
+def test_world_contract_fails_closed_on_unknown_translator():
+    world = _world()
+    contract = world.contracts[BRIDGE_CHAIN_ID]
+    tx = origin_tx()
+    pending = contract.receive(_unknown_envelope(tx), expected=3, tick=0)
+    assert pending[1:] == (VerifyStatus.PENDING, False)
+    members = world.mutual_sets["A"].members
+    for tick, node in enumerate(members[:2], start=1):
+        envelope = translate(tx, node, world.mutual_sets["A"], world.keys[node])
+        entry, status, _dup = contract.receive(envelope, expected=3, tick=tick)
+    assert status is VerifyStatus.VALIDATED
+    resolved = contract.receive(_unknown_envelope(tx, "ghost"), expected=3, tick=9)
+    assert resolved[1:] == (VerifyStatus.VALIDATED, False)
+    assert sorted(entry.submissions) == sorted(members[:2])
+
+
+# -- generated envelope sequences ---------------------------------------------
+
+UNKNOWN = "ghost"
+ENVELOPE_KINDS = ("honest", "corrupted", "forged", "unknown")
+
+
+def _generated_envelope(tx, node, kind, variant, mset, keys) -> TranslatedEnvelope:
+    if kind == "unknown":
+        return _unknown_envelope(tx, UNKNOWN)
+    honest = translate(tx, node, mset, keys[node])
+    if kind == "honest":
+        return honest
+    corrupted = honest.canonical_body + bytes([variant])
+    if kind == "forged":
+        # the honest body's signature, carried on a different body
+        return replace(honest, canonical_body=corrupted)
+    return translate(tx, node, mset, keys[node], corrupt=lambda _body: corrupted)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    expected=st.sampled_from([3, 5, 7]),
+    steps=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=6),
+            st.sampled_from(ENVELOPE_KINDS),
+            st.integers(min_value=0, max_value=1),
+        ),
+        max_size=14,
+    ),
+)
+def test_receive_matches_majority_oracle_on_generated_sequences(expected, steps):
+    members = tuple(f"n{i}" for i in range(expected))
+    mset = MutualNodeSet("A", members)
+    keys = {node: KeyPair.derive("prop", node) for node in members}
+    contract = VerificationContract("BRIDGE", lambda node: keys[node].public_key)
+    tx = origin_tx()
+    counted: dict[str, bytes] = {}  # first validly signed envelope per node
+    resolved = None
+    for tick, (index, kind, variant) in enumerate(steps):
+        node = members[index % expected]
+        envelope = _generated_envelope(tx, node, kind, variant, mset, keys)
+        is_duplicate = kind != "unknown" and node in counted
+        if resolved is None and kind in ("honest", "corrupted") and not is_duplicate:
+            counted[node] = envelope.canonical_body
+        entry, status, dup = contract.receive(envelope, expected=expected, tick=tick)
+        assert dup == is_duplicate
+        assert status.value == majority_status(expected, list(counted.values()))
+        assert entry.status is status
+        if resolved is not None:
+            assert status is resolved
+        elif status is not VerifyStatus.PENDING:
+            resolved = status

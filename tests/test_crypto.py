@@ -1,7 +1,9 @@
 import hashlib
+import pickle
 import random
 
 import pytest
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 
 from forensicross.crypto import (
     EmptyLeavesError,
@@ -126,3 +128,37 @@ def test_merkle_tree_levels_shape():
 def test_merkle_rejects_wrong_width_leaf():
     with pytest.raises(ValueError):
         merkle_root([b"\x01" * 31])
+
+
+def test_key_is_not_parsed_before_first_sign():
+    key = KeyPair.derive("lazy")
+    assert "_signer" not in vars(key)
+    sign(b"m", key)
+    assert "_signer" in vars(key)
+
+
+def test_reused_key_signs_exactly_like_a_fresh_parse():
+    key = KeyPair.derive("reused")
+    for i in range(3):
+        sign(b"earlier message %d" % i, key)
+    reference = Ed25519PrivateKey.from_private_bytes(key.private_key)
+    for message in (b"", b"m", b"a longer message" * 8):
+        # Ed25519 is deterministic: the bytes must match exactly
+        assert sign(message, key) == reference.sign(message)
+
+
+def test_signing_leaves_equality_hash_and_repr_unchanged():
+    key = KeyPair.derive("eq")
+    sign(b"m", key)
+    fresh = KeyPair.derive("eq")
+    assert key == fresh
+    assert hash(key) == hash(fresh)
+    assert repr(key) == repr(fresh)
+
+
+def test_key_that_has_signed_still_pickles():
+    key = KeyPair.derive("pickle")
+    signature = sign(b"m", key)
+    restored = pickle.loads(pickle.dumps(key))
+    assert restored == key
+    assert sign(b"m", restored) == signature
