@@ -179,15 +179,15 @@ class VerificationContract:
 
         Checks run in this order: duplicate, resolved, signature, count.
         A node's second submission for the same origin tx is ignored and
-        recorded. A resolved entry never changes status again, so its
-        envelopes are not verified. An envelope from an unknown translator
+        recorded. A resolved entry (Validated, Rejected or Expired) never
+        changes status again, so its envelopes are not verified. An envelope from an unknown translator
         node, or with a forged signature, is not counted.
         """
         entry = self.entry_for(envelope.origin_tx_id, expected, tick)
         if envelope.translator_node in entry.submissions:
             entry.duplicate_nodes.append(envelope.translator_node)
             return entry, entry.status, True
-        if entry.status in (VerifyStatus.VALIDATED, VerifyStatus.REJECTED):
+        if entry.status is not VerifyStatus.PENDING:
             return entry, entry.status, False
         try:
             public_key = self.key_resolver(envelope.translator_node)

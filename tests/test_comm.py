@@ -270,6 +270,19 @@ def test_receive_on_resolved_entry_never_verifies(monkeypatch):
     assert calls[0] == 0
 
 
+def test_late_envelope_on_expired_entry_is_not_verified_or_counted(monkeypatch):
+    contract = VerificationContract("BRIDGE", lambda node: KEYS[node].public_key)
+    tx = origin_tx()
+    entry, _status, _dup = contract.receive(translate(tx, "n0", MSET, KEYS["n0"]), 3, tick=0)
+    entry.status, entry.resolved_tick = VerifyStatus.EXPIRED, 5  # as World._check_timeout does
+    calls = _count_verify_calls(monkeypatch)
+    entry, status, dup = contract.receive(translate(tx, "n1", MSET, KEYS["n1"]), 3, tick=6)
+    assert (status, dup) == (VerifyStatus.EXPIRED, False)
+    assert entry.status is VerifyStatus.EXPIRED and entry.resolved_tick == 5
+    assert list(entry.submissions) == ["n0"]
+    assert calls[0] == 0
+
+
 def test_forged_envelope_on_pending_entry_is_verified_and_not_counted(monkeypatch):
     contract = VerificationContract("BRIDGE", lambda node: KEYS[node].public_key)
     tx = origin_tx()
