@@ -202,7 +202,6 @@ def build_parser() -> _Parser:
     run_p.add_argument("--scenario", required=True, help="scenario YAML file")
     run_p.add_argument("--out", default="out", help="output directory")
     run_p.add_argument("--seed", type=int, default=None, help="override scenario seed")
-    run_p.add_argument("--format", choices=["csv", "structured-text"], default="csv")
     run_p.set_defaults(fn=cmd_run)
 
     topo_p = sub.add_parser("topology", help="emit the mesh-vs-bridge comparison table")
@@ -223,7 +222,6 @@ def build_parser() -> _Parser:
         metavar="CHAIN:STAGE:TXINDEX",
         help="tamper one off-chain record after the run (repeatable)",
     )
-    demo_p.add_argument("--format", choices=["csv", "structured-text"], default="csv")
     demo_p.set_defaults(fn=cmd_provenance_demo)
 
     ver_p = sub.add_parser("version", help="print the version")

@@ -54,9 +54,6 @@ class OffchainCaseStore:
     def stage_lists(self, case_number: str, stage_count: int) -> list[list[Transaction]]:
         return [self.transactions(case_number, s) for s in range(stage_count)]
 
-    def cases(self) -> list[str]:
-        return sorted(self._records)
-
     def tamper(
         self,
         case_number: str,
