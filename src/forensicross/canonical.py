@@ -64,11 +64,11 @@ class Reader:
         except UnicodeDecodeError as exc:
             raise DecodeError("invalid utf-8 in canonical data") from exc
 
-    def read_str_list(self) -> list[str]:
-        return [self.read_str() for _ in range(self.read_int())]
+    def read_str_list(self) -> tuple[str, ...]:
+        return tuple(self.read_str() for _ in range(self.read_int()))
 
-    def read_bytes_list(self) -> list[bytes]:
-        return [self.read_bytes() for _ in range(self.read_int())]
+    def read_bytes_list(self) -> tuple[bytes, ...]:
+        return tuple(self.read_bytes() for _ in range(self.read_int()))
 
     def expect_end(self) -> None:
         if self._pos != len(self._data):

@@ -94,7 +94,7 @@ class Transaction:
         kind = PayloadKind(r.read_str())
         body = r.read_bytes()
         source = r.read_str()
-        destinations = tuple(r.read_str_list())
+        destinations = r.read_str_list()
         signature = r.read_bytes()
         r.expect_end()
         return cls(tx_id, sender, kind, body, source, destinations, signature)

@@ -28,6 +28,7 @@ from .payloads import (
     QueryNodeAssignPayload,
     StageProposalPayload,
     StageVotePayload,
+    encode_payload,
 )
 
 DEFAULT_STAGE_NAMES = (
@@ -180,7 +181,7 @@ class OrgChainState:
         self.require_user(user)
         if not destinations:
             raise EmptyDestinations(case_number)
-        body = CaseCreatePayload(case_number).canonical_bytes()
+        body = encode_payload(CaseCreatePayload(case_number))
         return make_transaction(
             PayloadKind.CASE_CREATE, body, self.chain_id, destinations, user
         )
@@ -190,9 +191,7 @@ class OrgChainState:
     ) -> Transaction:
         self.require_user(user)
         case = self.require_case(case_number)
-        body = AccessControlPayload(
-            case_number, policy.canonical_bytes()
-        ).canonical_bytes()
+        body = encode_payload(AccessControlPayload(case_number, policy.canonical_bytes()))
         return make_transaction(
             PayloadKind.ACCESS_CONTROL, body, self.chain_id, case.destination_chains, user
         )
@@ -202,7 +201,7 @@ class OrgChainState:
     ) -> Transaction:
         self.require_user(user)
         self.require_case(case_number)
-        body = QueryNodeAssignPayload(case_number, tuple(public_keys)).canonical_bytes()
+        body = encode_payload(QueryNodeAssignPayload(case_number, tuple(public_keys)))
         return make_transaction(PayloadKind.QUERY_NODE_ASSIGN, body, self.chain_id, (), user)
 
     def propose_stage_request(
@@ -212,20 +211,20 @@ class OrgChainState:
         case = self.require_case(case_number)
         attempt = case.proposal_attempts.get(stage, 0) + 1
         case.proposal_attempts[stage] = attempt
-        body = StageProposalPayload(case_number, stage, attempt).canonical_bytes()
+        body = encode_payload(StageProposalPayload(case_number, stage, attempt))
         return make_transaction(PayloadKind.STAGE_PROPOSAL, body, self.chain_id, (), user)
 
     def stage_vote_tx(
         self, signer: KeyPair, case_number: str, stage: int, round_: int,
         vote: str, reason: str = ""
     ) -> Transaction:
-        body = StageVotePayload(case_number, stage, round_, vote, reason).canonical_bytes()
+        body = encode_payload(StageVotePayload(case_number, stage, round_, vote, reason))
         return make_transaction(PayloadKind.STAGE_VOTE, body, self.chain_id, (), signer)
 
     def provenance_request_tx(self, user: KeyPair, case_number: str) -> Transaction:
         self.require_user(user)
         self.require_case(case_number)
-        body = ProvenanceRequestPayload(case_number, user.public_key).canonical_bytes()
+        body = encode_payload(ProvenanceRequestPayload(case_number, user.public_key))
         return make_transaction(
             PayloadKind.PROVENANCE_REQUEST, body, self.chain_id, (), user
         )
@@ -251,7 +250,7 @@ class OrgChainState:
             decision=decision,
             tick=tick,
         )
-        body = DataAccessLogPayload(
+        body = encode_payload(DataAccessLogPayload(
             case_number=case_number,
             actor_public_key=user.public_key,
             role=role,
@@ -259,7 +258,7 @@ class OrgChainState:
             stage=case.stage,
             decision=decision,
             payload_digest=payload_digest,
-        ).canonical_bytes()
+        ))
         tx = make_transaction(PayloadKind.DATA_ACCESS_LOG, body, self.chain_id, (), user)
         return tx, entry
 

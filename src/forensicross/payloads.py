@@ -1,12 +1,16 @@
 """Typed transaction bodies, one per payload kind.
 
-Each payload serializes field-by-field with the canonical encoding so the
-same bytes decode on every chain. Stage-progress control traffic shares
-the StageProposal kind and is distinguished by `phase`.
+Each payload is a frozen dataclass. Its canonical bytes are its fields in
+declaration order, and a field's annotation picks its encoding: `str`,
+`bytes`, `int`, `tuple[str, ...]` or `tuple[bytes, ...]`, each with its
+`enc_*` function and `Reader.read_*` method. The same bytes therefore
+decode on every chain. Stage-progress control traffic shares the
+StageProposal kind and is distinguished by `phase`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
+from typing import get_type_hints
 
 from .canonical import (
     Reader,
@@ -30,47 +34,17 @@ VOTE_REJECT = "reject"
 class CaseCreatePayload:
     case_number: str
 
-    def canonical_bytes(self) -> bytes:
-        return enc_str(self.case_number)
-
-    @classmethod
-    def from_canonical(cls, data: bytes) -> "CaseCreatePayload":
-        r = Reader(data)
-        out = cls(r.read_str())
-        r.expect_end()
-        return out
-
 
 @dataclass(frozen=True)
 class AccessControlPayload:
     case_number: str
     policy_bytes: bytes  # canonical AccessPolicy serialization
 
-    def canonical_bytes(self) -> bytes:
-        return enc_str(self.case_number) + enc_bytes(self.policy_bytes)
-
-    @classmethod
-    def from_canonical(cls, data: bytes) -> "AccessControlPayload":
-        r = Reader(data)
-        out = cls(r.read_str(), r.read_bytes())
-        r.expect_end()
-        return out
-
 
 @dataclass(frozen=True)
 class QueryNodeAssignPayload:
     case_number: str
     public_keys: tuple[bytes, ...]
-
-    def canonical_bytes(self) -> bytes:
-        return enc_str(self.case_number) + enc_bytes_list(self.public_keys)
-
-    @classmethod
-    def from_canonical(cls, data: bytes) -> "QueryNodeAssignPayload":
-        r = Reader(data)
-        out = cls(r.read_str(), tuple(r.read_bytes_list()))
-        r.expect_end()
-        return out
 
 
 @dataclass(frozen=True)
@@ -79,25 +53,7 @@ class StageProposalPayload:
     stage: int
     round: int
     phase: str = PHASE_OPEN
-    reasons: tuple[str, ...] = field(default_factory=tuple)
-
-    def canonical_bytes(self) -> bytes:
-        return (
-            enc_str(self.case_number)
-            + enc_int(self.stage)
-            + enc_int(self.round)
-            + enc_str(self.phase)
-            + enc_str_list(self.reasons)
-        )
-
-    @classmethod
-    def from_canonical(cls, data: bytes) -> "StageProposalPayload":
-        r = Reader(data)
-        out = cls(
-            r.read_str(), r.read_int(), r.read_int(), r.read_str(), tuple(r.read_str_list())
-        )
-        r.expect_end()
-        return out
+    reasons: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -107,22 +63,6 @@ class StageVotePayload:
     round: int
     vote: str
     reason: str = ""
-
-    def canonical_bytes(self) -> bytes:
-        return (
-            enc_str(self.case_number)
-            + enc_int(self.stage)
-            + enc_int(self.round)
-            + enc_str(self.vote)
-            + enc_str(self.reason)
-        )
-
-    @classmethod
-    def from_canonical(cls, data: bytes) -> "StageVotePayload":
-        r = Reader(data)
-        out = cls(r.read_str(), r.read_int(), r.read_int(), r.read_str(), r.read_str())
-        r.expect_end()
-        return out
 
 
 @dataclass(frozen=True)
@@ -135,50 +75,14 @@ class DataAccessLogPayload:
     decision: str  # "Allowed" | "Denied"
     payload_digest: bytes
 
-    def canonical_bytes(self) -> bytes:
-        return (
-            enc_str(self.case_number)
-            + enc_bytes(self.actor_public_key)
-            + enc_str(self.role)
-            + enc_str(self.action)
-            + enc_int(self.stage)
-            + enc_str(self.decision)
-            + enc_bytes(self.payload_digest)
-        )
-
-    @classmethod
-    def from_canonical(cls, data: bytes) -> "DataAccessLogPayload":
-        r = Reader(data)
-        out = cls(
-            r.read_str(),
-            r.read_bytes(),
-            r.read_str(),
-            r.read_str(),
-            r.read_int(),
-            r.read_str(),
-            r.read_bytes(),
-        )
-        r.expect_end()
-        return out
-
 
 @dataclass(frozen=True)
 class ProvenanceRequestPayload:
     case_number: str
     requester_public_key: bytes
 
-    def canonical_bytes(self) -> bytes:
-        return enc_str(self.case_number) + enc_bytes(self.requester_public_key)
 
-    @classmethod
-    def from_canonical(cls, data: bytes) -> "ProvenanceRequestPayload":
-        r = Reader(data)
-        out = cls(r.read_str(), r.read_bytes())
-        r.expect_end()
-        return out
-
-
-_DECODERS = {
+PAYLOAD_TYPES = {
     PayloadKind.CASE_CREATE: CaseCreatePayload,
     PayloadKind.ACCESS_CONTROL: AccessControlPayload,
     PayloadKind.QUERY_NODE_ASSIGN: QueryNodeAssignPayload,
@@ -188,11 +92,35 @@ _DECODERS = {
     PayloadKind.PROVENANCE_REQUEST: ProvenanceRequestPayload,
 }
 
+_CODECS = {
+    str: (enc_str, Reader.read_str),
+    bytes: (enc_bytes, Reader.read_bytes),
+    int: (enc_int, Reader.read_int),
+    tuple[str, ...]: (enc_str_list, Reader.read_str_list),
+    tuple[bytes, ...]: (enc_bytes_list, Reader.read_bytes_list),
+}
+
+# payload class -> [(field name, encoder, reader)] in declaration order
+_FIELD_CODECS = {
+    cls: [(f.name, *_CODECS[get_type_hints(cls)[f.name]]) for f in fields(cls)]
+    for cls in PAYLOAD_TYPES.values()
+}
+
+
+def encode_payload(payload) -> bytes:
+    """The canonical bytes of a typed payload."""
+    return b"".join(
+        enc(getattr(payload, name)) for name, enc, _read in _FIELD_CODECS[type(payload)]
+    )
+
 
 def decode_payload(kind: PayloadKind, body: bytes):
     """Decode a transaction body into its typed payload."""
     try:
-        decoder = _DECODERS[kind]
+        cls = PAYLOAD_TYPES[kind]
     except KeyError:
         raise ValueError(f"no payload decoder for {kind}") from None
-    return decoder.from_canonical(body)
+    r = Reader(body)
+    out = cls(*[read(r) for _name, _enc, read in _FIELD_CODECS[cls]])
+    r.expect_end()
+    return out

@@ -44,6 +44,7 @@ from .payloads import (
     StageProposalPayload,
     VOTE_APPROVE,
     decode_payload,
+    encode_payload,
 )
 from .provenance import OffchainCaseStore, extract_provenance
 from .registry import BridgeRegistry, StageOutcome
@@ -69,17 +70,6 @@ from .topology import Design, validate_topology
 PHASE_DELIVER = 0
 PHASE_ACTION = 1
 PHASE_MINE = 2
-
-ROUTED_KINDS = frozenset(
-    {
-        PayloadKind.CASE_CREATE,
-        PayloadKind.ACCESS_CONTROL,
-        PayloadKind.QUERY_NODE_ASSIGN,
-        PayloadKind.STAGE_PROPOSAL,
-        PayloadKind.STAGE_VOTE,
-        PayloadKind.PROVENANCE_REQUEST,
-    }
-)
 
 STATUS_PENDING = "pending"
 STATUS_DELIVERED = "delivered"
@@ -377,39 +367,18 @@ class World:
 
     def _on_block_mined(self, chain_id: str, block, tick: int) -> None:
         for tx in block.transactions:
-            if chain_id == BRIDGE_CHAIN_ID:
+            if chain_id != BRIDGE_CHAIN_ID:
+                kind = tx.payload_kind
+                if tx.source_chain != chain_id or kind is PayloadKind.INTERCHAIN_ENVELOPE:
+                    continue  # a delivered record, already applied
+                if kind is PayloadKind.DATA_ACCESS_LOG:
+                    self._record_access_tx(chain_id, tx, tick)
+                    continue
+                # a cross-chain record also updates the source's own replica;
+                # a user's stage proposal has none, so it casts no self-vote
                 if tx.destination_chains:
-                    self._start_destination_forwarding(tx, tick)
-                continue
-            if tx.source_chain != chain_id or tx.payload_kind is PayloadKind.INTERCHAIN_ENVELOPE:
-                continue  # a delivered record, already applied
-            kind = tx.payload_kind
-            if kind is PayloadKind.DATA_ACCESS_LOG:
-                self._record_access_tx(chain_id, tx, tick)
-                continue
-            if kind is PayloadKind.CASE_CREATE:
-                payload = decode_payload(kind, tx.body)
-                self.org[chain_id].apply_case_create(
-                    payload.case_number, chain_id, tx.destination_chains,
-                    tx.sender_public_key,
-                )
-                self.emit(
-                    tick, "local_case_created",
-                    chain=chain_id, case=payload.case_number, source=chain_id,
-                )
-            elif kind is PayloadKind.ACCESS_CONTROL:
-                payload = decode_payload(kind, tx.body)
-                policy = AccessPolicy.from_canonical(payload.policy_bytes)
-                self.org[chain_id].apply_policy(payload.case_number, policy)
-                self.emit(
-                    tick, "policy_stored",
-                    chain=chain_id, case=payload.case_number,
-                    digest=policy.digest().hex(),
-                )
-            if self.design is Design.BRIDGE and kind in ROUTED_KINDS:
-                self._start_bridge_routing(tx, chain_id, tick)
-            elif self.design is Design.MESH and tx.destination_chains:
-                self._start_mesh_routing(tx, chain_id, tick)
+                    self._apply_org(chain_id, tx, tick)
+            self._start_routing(tx, chain_id, tick)
 
     def _record_access_tx(self, chain_id: str, tx: Transaction, tick: int) -> None:
         payload = decode_payload(PayloadKind.DATA_ACCESS_LOG, tx.body)
@@ -427,7 +396,7 @@ class World:
 
     # -- routing pipeline ------------------------------------------------------------------
 
-    def _new_report(self, tx: Transaction, chain_id: str, tick: int) -> DeliveryReport:
+    def _new_report(self, tx: Transaction, chain_id: str, tick: int) -> None:
         report = DeliveryReport(
             tx_id=tx.tx_id,
             kind=tx.payload_kind.value,
@@ -438,7 +407,6 @@ class World:
         report.hops.append(Hop("mutual-receipt", chain_id, tick, 0, "ok"))
         self.reports[tx.tx_id] = report
         self._honest_bodies[tx.tx_id] = canonical_translation(tx)
-        return report
 
     def _send_translations(
         self, tx: Transaction, mset: MutualNodeSet, target_chain: str,
@@ -470,30 +438,31 @@ class World:
             partial(self._check_timeout, target_chain, origin_id),
         )
 
-    def _start_bridge_routing(self, tx: Transaction, chain_id: str, tick: int) -> None:
-        self._new_report(tx, chain_id, tick)
-        self._send_translations(
-            tx, self.mutual_sets[chain_id], BRIDGE_CHAIN_ID, tx.tx_id, tick
-        )
-
-    def _start_mesh_routing(self, tx: Transaction, chain_id: str, tick: int) -> None:
-        self._new_report(tx, chain_id, tick)
-        for dest in tx.destination_chains:
-            pair = tuple(sorted((chain_id, dest)))
-            self._send_translations(tx, self.pair_sets[pair], dest, tx.tx_id, tick)
-
-    def _start_destination_forwarding(self, bridge_tx: Transaction, tick: int) -> None:
-        if bridge_tx.payload_kind is PayloadKind.INTERCHAIN_ENVELOPE:
-            origin_id = Transaction.from_canonical(bridge_tx.body).tx_id
+    def _start_routing(self, tx: Transaction, chain_id: str, tick: int) -> None:
+        """Translate `tx`, mined on `chain_id`, towards its next hops: an
+        organization chain sends to the bridge (bridge design) or to each
+        destination through the pair's mutual nodes (mesh design); the
+        bridge sends to each destination through that chain's mutual nodes."""
+        if chain_id == BRIDGE_CHAIN_ID:
+            hops = [(self.mutual_sets[dest], dest) for dest in tx.destination_chains]
+        elif self.design is Design.BRIDGE:
+            hops = [(self.mutual_sets[chain_id], BRIDGE_CHAIN_ID)]
         else:
-            # bridge-originated control traffic is its own origin
-            origin_id = bridge_tx.tx_id
-            if origin_id not in self.reports:
-                self._new_report(bridge_tx, BRIDGE_CHAIN_ID, tick)
-        for dest in bridge_tx.destination_chains:
-            self._send_translations(
-                bridge_tx, self.mutual_sets[dest], dest, origin_id, tick
-            )
+            hops = [
+                (self.pair_sets[tuple(sorted((chain_id, dest)))], dest)
+                for dest in tx.destination_chains
+            ]
+        if not hops:
+            return
+        if tx.payload_kind is PayloadKind.INTERCHAIN_ENVELOPE:
+            # the bridge's record of a validated origin forwards that origin
+            origin_id = Transaction.from_canonical(tx.body).tx_id
+        else:
+            # anything else, bridge control traffic included, is its own origin
+            origin_id = tx.tx_id
+            self._new_report(tx, chain_id, tick)
+        for mset, target_chain in hops:
+            self._send_translations(tx, mset, target_chain, origin_id, tick)
 
     def _deliver_envelope(self, target_chain: str, envelope, expected: int, tick: int) -> None:
         self.envelopes_delivered += 1
@@ -521,6 +490,16 @@ class World:
             self._handled.add(key)
             self._on_rejected(target_chain, entry, tick)
 
+    def _verify_hop(self, target_chain: str, origin_id: str, tick: int, outcome: str):
+        """Append the verification hop at `target_chain` to the origin's
+        report, if it has one, and return the report."""
+        report = self.reports.get(origin_id)
+        if report is not None:
+            hop = "bridge-verify" if target_chain == BRIDGE_CHAIN_ID else "destination-verify"
+            messages = self._messages_to.get((target_chain, origin_id), 0)
+            report.hops.append(Hop(hop, target_chain, tick, messages, outcome))
+        return report
+
     def _check_timeout(self, target_chain: str, origin_id: str, tick: int) -> None:
         entry = self.contracts[target_chain].entries.get(origin_id)
         if entry is not None and entry.status is not VerifyStatus.PENDING:
@@ -532,46 +511,34 @@ class World:
             entry.resolved_tick = tick
         self._handled.add((target_chain, origin_id))
         self.emit(tick, "envelope_expired", chain=target_chain, origin_tx=origin_id)
-        report = self.reports.get(origin_id)
+        report = self._verify_hop(target_chain, origin_id, tick, "expired")
         if report is not None:
             report.status = STATUS_EXPIRED
-            report.hops.append(
-                Hop(self._hop_name(target_chain), target_chain, tick,
-                    self._messages_to.get((target_chain, origin_id), 0), "expired")
-            )
-
-    def _hop_name(self, target_chain: str) -> str:
-        return "bridge-verify" if target_chain == BRIDGE_CHAIN_ID else "destination-verify"
 
     def _on_rejected(self, target_chain: str, entry, tick: int) -> None:
-        messages = self._messages_to.get((target_chain, entry.origin_tx_id), 0)
+        origin_id = entry.origin_tx_id
         self.emit(
             tick, "verification",
-            chain=target_chain, origin_tx=entry.origin_tx_id,
-            status=VerifyStatus.REJECTED.value, messages=messages, honest=None,
+            chain=target_chain, origin_tx=origin_id, status=VerifyStatus.REJECTED.value,
+            messages=self._messages_to.get((target_chain, origin_id), 0), honest=None,
         )
-        report = self.reports.get(entry.origin_tx_id)
+        report = self._verify_hop(target_chain, origin_id, tick, "rejected")
         if report is not None:
             report.status = STATUS_REJECTED
-            report.hops.append(
-                Hop(self._hop_name(target_chain), target_chain, tick, messages, "rejected")
-            )
 
     def _on_validated(self, target_chain: str, entry, tick: int) -> None:
+        """Apply a majority-validated origin at `target_chain`: the bridge
+        runs its registry handler, an organization chain its replica
+        handler; both then record the winning body on their own chain."""
         origin_id = entry.origin_tx_id
         honest_body = self._honest_bodies.get(origin_id)
         is_honest = entry.winning_body == honest_body if honest_body is not None else None
-        messages = self._messages_to.get((target_chain, origin_id), 0)
         self.emit(
             tick, "verification",
-            chain=target_chain, origin_tx=origin_id,
-            status=VerifyStatus.VALIDATED.value, messages=messages, honest=is_honest,
+            chain=target_chain, origin_tx=origin_id, status=VerifyStatus.VALIDATED.value,
+            messages=self._messages_to.get((target_chain, origin_id), 0), honest=is_honest,
         )
-        report = self.reports.get(origin_id)
-        if report is not None:
-            report.hops.append(
-                Hop(self._hop_name(target_chain), target_chain, tick, messages, "validated")
-            )
+        report = self._verify_hop(target_chain, origin_id, tick, "validated")
         if is_honest is False:
             if report is not None:
                 report.status = STATUS_MALICIOUS
@@ -581,104 +548,106 @@ class World:
         if report is not None and report.winning_is_honest is None:
             report.winning_is_honest = True
         origin = Transaction.from_canonical(entry.winning_body)
-        if target_chain == BRIDGE_CHAIN_ID:
-            self._apply_at_bridge(origin, entry, tick, report)
-        else:
-            self._apply_at_destination(target_chain, origin, entry, tick, report)
-
-    # -- bridge-side application ----------------------------------------------------------
-
-    def _apply_at_bridge(self, origin: Transaction, entry, tick: int, report) -> None:
-        registry = self.registry
-        kind = origin.payload_kind
         forward: tuple[str, ...] = ()
-        try:
-            if kind is PayloadKind.CASE_CREATE:
+        if target_chain == BRIDGE_CHAIN_ID:
+            kind = origin.payload_kind
+            try:
                 payload = decode_payload(kind, origin.body)
-                registry.register_case(
-                    payload.case_number, origin.source_chain,
-                    origin.destination_chains, origin.sender_public_key,
-                )
+                forward = self.BRIDGE_HANDLERS[kind](self, origin, payload, tick)
+            except ForensicrossError as exc:
                 self.emit(
-                    tick, "case_registered",
-                    case=payload.case_number, source=origin.source_chain,
-                    destinations=list(origin.destination_chains),
+                    tick, "registry_error",
+                    op=kind.value, error=type(exc).__name__, detail=str(exc),
                 )
-                forward = origin.destination_chains
-            elif kind is PayloadKind.ACCESS_CONTROL:
-                payload = decode_payload(kind, origin.body)
-                policy = AccessPolicy.from_canonical(payload.policy_bytes)
-                registry.store_policy(payload.case_number, origin.source_chain, policy)
-                self.emit(
-                    tick, "policy_stored",
-                    chain=BRIDGE_CHAIN_ID, case=payload.case_number,
-                    digest=policy.digest().hex(),
-                )
-                forward = origin.destination_chains
-            elif kind is PayloadKind.QUERY_NODE_ASSIGN:
-                payload = decode_payload(kind, origin.body)
-                case = registry.assign_query_nodes(
-                    payload.case_number, origin.source_chain, payload.public_keys
-                )
-                self.emit(
-                    tick, "query_nodes_assigned",
-                    case=payload.case_number, chain=origin.source_chain,
-                    total=len(case.query_nodes),
-                )
-            elif kind is PayloadKind.STAGE_PROPOSAL:
-                payload = decode_payload(kind, origin.body)
-                if payload.phase != PHASE_OPEN:
-                    raise StaleStage(f"unexpected phase {payload.phase!r} from a chain")
-                if payload.round != registry.next_round(payload.case_number, payload.stage):
-                    raise StaleStage(
-                        f"proposal round {payload.round} out of sequence"
-                    )
-                proposal = registry.open_stage_proposal(
-                    payload.case_number, origin.source_chain, payload.stage
-                )
-                self.emit(
-                    tick, "stage_proposal_opened",
-                    case=payload.case_number, stage=payload.stage,
-                    round=proposal.round, proposer=origin.source_chain,
-                )
-                case = registry.require_case(payload.case_number)
-                forward = tuple(
-                    c for c in case.participants if c != origin.source_chain
-                )
-            elif kind is PayloadKind.STAGE_VOTE:
-                payload = decode_payload(kind, origin.body)
-                result = registry.process_stage_vote(
-                    payload.case_number, origin.source_chain,
-                    payload.stage, payload.round, payload.vote, payload.reason,
-                )
-                self.emit(
-                    tick, "stage_vote",
-                    case=payload.case_number, stage=payload.stage,
-                    round=payload.round, chain=origin.source_chain,
-                    vote=payload.vote, outcome=result.outcome.value,
-                )
-                if result.outcome is not StageOutcome.AWAITING_VOTES:
-                    self._emit_stage_outcome(payload.case_number, result, tick)
-            elif kind is PayloadKind.PROVENANCE_REQUEST:
-                payload = decode_payload(kind, origin.body)
-                self._handle_provenance_request(payload, tick)
-        except ForensicrossError as exc:
-            self.emit(
-                tick, "registry_error",
-                op=kind.value, error=type(exc).__name__, detail=str(exc),
-            )
-            if report is not None:
-                report.status = STATUS_REGISTRY_REJECTED
-                report.accepted_ticks[BRIDGE_CHAIN_ID] = tick
-            return
+                if report is not None:
+                    report.status = STATUS_REGISTRY_REJECTED
+                    report.accepted_ticks[BRIDGE_CHAIN_ID] = tick
+                return
+        else:
+            self._apply_org(target_chain, origin, tick)
         record = make_transaction(
             PayloadKind.INTERCHAIN_ENVELOPE, entry.winning_body,
-            BRIDGE_CHAIN_ID, forward, self.contract_keys[BRIDGE_CHAIN_ID],
+            target_chain, forward, self.contract_keys[target_chain],
         )
-        self._submit_local(BRIDGE_CHAIN_ID, record, tick)
-        if report is not None and not forward:
-            report.accepted_ticks[BRIDGE_CHAIN_ID] = tick
+        self._submit_local(target_chain, record, tick)
+        if report is None or forward:
+            return
+        report.accepted_ticks[target_chain] = tick
+        # the bridge delivers whatever it does not forward; otherwise delivery
+        # completes when the last destination accepts
+        if (
+            target_chain == BRIDGE_CHAIN_ID
+            or set(report.destinations).issubset(report.accepted_ticks)
+        ):
             report.status = STATUS_DELIVERED
+
+    # -- bridge-side handlers: registry call, event, chains to forward to ------------------
+
+    def _bridge_case_create(self, origin: Transaction, payload, tick: int) -> tuple[str, ...]:
+        self.registry.register_case(
+            payload.case_number, origin.source_chain,
+            origin.destination_chains, origin.sender_public_key,
+        )
+        self.emit(
+            tick, "case_registered",
+            case=payload.case_number, source=origin.source_chain,
+            destinations=list(origin.destination_chains),
+        )
+        return origin.destination_chains
+
+    def _bridge_access_control(self, origin: Transaction, payload, tick: int) -> tuple[str, ...]:
+        policy = AccessPolicy.from_canonical(payload.policy_bytes)
+        self.registry.store_policy(payload.case_number, origin.source_chain, policy)
+        self.emit(
+            tick, "policy_stored",
+            chain=BRIDGE_CHAIN_ID, case=payload.case_number, digest=policy.digest().hex(),
+        )
+        return origin.destination_chains
+
+    def _bridge_query_node_assign(
+        self, origin: Transaction, payload, tick: int
+    ) -> tuple[str, ...]:
+        case = self.registry.assign_query_nodes(
+            payload.case_number, origin.source_chain, payload.public_keys
+        )
+        self.emit(
+            tick, "query_nodes_assigned",
+            case=payload.case_number, chain=origin.source_chain,
+            total=len(case.query_nodes),
+        )
+        return ()
+
+    def _bridge_stage_proposal(self, origin: Transaction, payload, tick: int) -> tuple[str, ...]:
+        registry = self.registry
+        if payload.phase != PHASE_OPEN:
+            raise StaleStage(f"unexpected phase {payload.phase!r} from a chain")
+        if payload.round != registry.next_round(payload.case_number, payload.stage):
+            raise StaleStage(f"proposal round {payload.round} out of sequence")
+        proposal = registry.open_stage_proposal(
+            payload.case_number, origin.source_chain, payload.stage
+        )
+        self.emit(
+            tick, "stage_proposal_opened",
+            case=payload.case_number, stage=payload.stage,
+            round=proposal.round, proposer=origin.source_chain,
+        )
+        case = registry.require_case(payload.case_number)
+        return tuple(c for c in case.participants if c != origin.source_chain)
+
+    def _bridge_stage_vote(self, origin: Transaction, payload, tick: int) -> tuple[str, ...]:
+        result = self.registry.process_stage_vote(
+            payload.case_number, origin.source_chain,
+            payload.stage, payload.round, payload.vote, payload.reason,
+        )
+        self.emit(
+            tick, "stage_vote",
+            case=payload.case_number, stage=payload.stage,
+            round=payload.round, chain=origin.source_chain,
+            vote=payload.vote, outcome=result.outcome.value,
+        )
+        if result.outcome is not StageOutcome.AWAITING_VOTES:
+            self._emit_stage_outcome(payload.case_number, result, tick)
+        return ()
 
     def _emit_stage_outcome(self, case_number: str, result, tick: int) -> None:
         registry = self.registry
@@ -700,12 +669,14 @@ class World:
                 case_number, result.stage, result.round, PHASE_BLOCKED, result.reasons
             )
         control = make_transaction(
-            PayloadKind.STAGE_PROPOSAL, payload.canonical_bytes(),
+            PayloadKind.STAGE_PROPOSAL, encode_payload(payload),
             BRIDGE_CHAIN_ID, targets, self.contract_keys[BRIDGE_CHAIN_ID],
         )
         self._submit_local(BRIDGE_CHAIN_ID, control, tick)
 
-    def _handle_provenance_request(self, payload, tick: int) -> None:
+    def _bridge_provenance_request(
+        self, origin: Transaction, payload, tick: int
+    ) -> tuple[str, ...]:
         requester = self._pk_to_user.get(
             payload.requester_public_key, payload.requester_public_key.hex()[:16]
         )
@@ -720,13 +691,23 @@ class World:
                 case=payload.case_number, requester=requester,
                 error=type(exc).__name__,
             )
-            return
+            return ()
         self.bundles.append((tick, bundle))
         self.emit(
             tick, "provenance_extracted",
             case=payload.case_number, requester=requester,
             chains=sorted(bundle.sections),
         )
+        return ()
+
+    BRIDGE_HANDLERS = {
+        PayloadKind.CASE_CREATE: _bridge_case_create,
+        PayloadKind.ACCESS_CONTROL: _bridge_access_control,
+        PayloadKind.QUERY_NODE_ASSIGN: _bridge_query_node_assign,
+        PayloadKind.STAGE_PROPOSAL: _bridge_stage_proposal,
+        PayloadKind.STAGE_VOTE: _bridge_stage_vote,
+        PayloadKind.PROVENANCE_REQUEST: _bridge_provenance_request,
+    }
 
     def _deliver_stage_hash(
         self, case_number: str, chain_id: str, stage: int, tx_hash: bytes, tick: int
@@ -745,81 +726,77 @@ class World:
             count=len(record.tx_hashes), leaf=record.leaf.hex(),
         )
 
-    # -- destination-side application ----------------------------------------------------
+    # -- organization-side handlers: update one chain's case replica -----------------------
 
-    def _apply_at_destination(
-        self, chain_id: str, origin: Transaction, entry, tick: int, report
-    ) -> None:
+    def _apply_org(self, chain_id: str, tx: Transaction, tick: int) -> None:
+        handler = self.ORG_HANDLERS.get(tx.payload_kind)
+        if handler is not None:
+            handler(self, chain_id, tx, decode_payload(tx.payload_kind, tx.body), tick)
+
+    def _org_case_create(self, chain_id: str, tx: Transaction, payload, tick: int) -> None:
+        self.org[chain_id].apply_case_create(
+            payload.case_number, tx.source_chain,
+            tx.destination_chains, tx.sender_public_key,
+        )
+        self.emit(
+            tick, "local_case_created",
+            chain=chain_id, case=payload.case_number, source=tx.source_chain,
+        )
+
+    def _org_access_control(self, chain_id: str, tx: Transaction, payload, tick: int) -> None:
+        policy = AccessPolicy.from_canonical(payload.policy_bytes)
+        try:
+            self.org[chain_id].apply_policy(payload.case_number, policy)
+        except UnknownCase:
+            self.emit(
+                tick, "registry_error",
+                op="apply_policy", error="UnknownCase", detail=payload.case_number,
+            )
+            return
+        self.emit(
+            tick, "policy_stored",
+            chain=chain_id, case=payload.case_number, digest=policy.digest().hex(),
+        )
+
+    def _org_stage_proposal(self, chain_id: str, tx: Transaction, payload, tick: int) -> None:
         org = self.org[chain_id]
-        kind = origin.payload_kind
-        if kind is PayloadKind.CASE_CREATE:
-            payload = decode_payload(kind, origin.body)
-            org.apply_case_create(
-                payload.case_number, origin.source_chain,
-                origin.destination_chains, origin.sender_public_key,
+        if payload.phase == PHASE_OPEN:
+            vote, reason = self._vote_script.get(
+                (payload.case_number, payload.stage, payload.round, chain_id),
+                (VOTE_APPROVE, ""),
             )
             self.emit(
-                tick, "local_case_created",
-                chain=chain_id, case=payload.case_number, source=origin.source_chain,
+                tick, "stage_vote_cast",
+                chain=chain_id, case=payload.case_number,
+                stage=payload.stage, round=payload.round, vote=vote,
             )
-        elif kind is PayloadKind.ACCESS_CONTROL:
-            payload = decode_payload(kind, origin.body)
-            policy = AccessPolicy.from_canonical(payload.policy_bytes)
+            vote_tx = org.stage_vote_tx(
+                self.contract_keys[chain_id], payload.case_number,
+                payload.stage, payload.round, vote, reason,
+            )
+            self._submit_local(chain_id, vote_tx, tick)
+        elif payload.phase == PHASE_ADVANCED:
             try:
-                org.apply_policy(payload.case_number, policy)
+                org.apply_stage_advance(payload.case_number, payload.stage)
             except UnknownCase:
-                self.emit(
-                    tick, "registry_error",
-                    op="apply_policy", error="UnknownCase", detail=payload.case_number,
-                )
-            else:
-                self.emit(
-                    tick, "policy_stored",
-                    chain=chain_id, case=payload.case_number,
-                    digest=policy.digest().hex(),
-                )
-        elif kind is PayloadKind.STAGE_PROPOSAL:
-            payload = decode_payload(kind, origin.body)
-            if payload.phase == PHASE_OPEN:
-                vote, reason = self._vote_script.get(
-                    (payload.case_number, payload.stage, payload.round, chain_id),
-                    (VOTE_APPROVE, ""),
-                )
-                self.emit(
-                    tick, "stage_vote_cast",
-                    chain=chain_id, case=payload.case_number,
-                    stage=payload.stage, round=payload.round, vote=vote,
-                )
-                vote_tx = org.stage_vote_tx(
-                    self.contract_keys[chain_id], payload.case_number,
-                    payload.stage, payload.round, vote, reason,
-                )
-                self._submit_local(chain_id, vote_tx, tick)
-            elif payload.phase == PHASE_ADVANCED:
-                try:
-                    org.apply_stage_advance(payload.case_number, payload.stage)
-                except UnknownCase:
-                    pass
-                self.emit(
-                    tick, "stage_advance_applied",
-                    chain=chain_id, case=payload.case_number, stage=payload.stage,
-                )
-            else:
-                self.emit(
-                    tick, "stage_blocked_issue",
-                    chain=chain_id, case=payload.case_number,
-                    stage=payload.stage, round=payload.round,
-                    reasons=list(payload.reasons),
-                )
-        record = make_transaction(
-            PayloadKind.INTERCHAIN_ENVELOPE, entry.winning_body,
-            chain_id, (), self.contract_keys[chain_id],
-        )
-        self._submit_local(chain_id, record, tick)
-        if report is not None:
-            report.accepted_ticks[chain_id] = tick
-            if set(report.destinations).issubset(report.accepted_ticks):
-                report.status = STATUS_DELIVERED
+                pass
+            self.emit(
+                tick, "stage_advance_applied",
+                chain=chain_id, case=payload.case_number, stage=payload.stage,
+            )
+        else:
+            self.emit(
+                tick, "stage_blocked_issue",
+                chain=chain_id, case=payload.case_number,
+                stage=payload.stage, round=payload.round,
+                reasons=list(payload.reasons),
+            )
+
+    ORG_HANDLERS = {
+        PayloadKind.CASE_CREATE: _org_case_create,
+        PayloadKind.ACCESS_CONTROL: _org_access_control,
+        PayloadKind.STAGE_PROPOSAL: _org_stage_proposal,
+    }
 
     # -- results -----------------------------------------------------------------------------
 

@@ -23,6 +23,7 @@ from forensicross.payloads import (
     StageProposalPayload,
     StageVotePayload,
     decode_payload,
+    encode_payload,
 )
 
 PAYLOAD_CLASSES = {
@@ -88,7 +89,7 @@ def _kind_of(payload) -> PayloadKind:
 
 @pytest.mark.parametrize("payload,expected_hex", PINNED, ids=lambda v: type(v).__name__)
 def test_payload_canonical_bytes_are_pinned(payload, expected_hex):
-    data = payload.canonical_bytes()
+    data = encode_payload(payload)
     assert data.hex() == expected_hex
     assert decode_payload(_kind_of(payload), data) == payload
 
@@ -117,7 +118,7 @@ payloads = st.one_of(*(_payload_strategy(cls) for cls in PAYLOAD_CLASSES.values(
 @settings(max_examples=300, deadline=None)
 @given(payloads)
 def test_every_payload_kind_round_trips(payload):
-    assert decode_payload(_kind_of(payload), payload.canonical_bytes()) == payload
+    assert decode_payload(_kind_of(payload), encode_payload(payload)) == payload
 
 
 @settings(max_examples=500, deadline=None)
@@ -133,7 +134,7 @@ def test_arbitrary_bytes_raise_only_decode_error(kind, data):
 @given(payloads, st.data())
 def test_truncated_or_extended_encodings_raise_decode_error(payload, data):
     kind = _kind_of(payload)
-    encoded = payload.canonical_bytes()
+    encoded = encode_payload(payload)
     cut = data.draw(st.integers(min_value=0, max_value=len(encoded) - 1))
     with pytest.raises(DecodeError):
         decode_payload(kind, encoded[:cut])

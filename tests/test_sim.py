@@ -3,8 +3,9 @@ from dataclasses import replace
 
 import pytest
 
-from forensicross.chain import validate_chain
+from forensicross.chain import PayloadKind, validate_chain
 from forensicross.errors import InvalidTopology, ScenarioError
+from forensicross.payloads import PAYLOAD_TYPES, decode_payload
 from forensicross.scenario import (
     FAULT_COMPROMISE,
     FAULT_TAMPER,
@@ -260,3 +261,14 @@ def test_block_time_slows_but_preserves_delivery():
     report = next(r for r in world.reports.values() if r.kind == "CaseCreate")
     assert report.status == "delivered"
     assert report.duration > 2  # bridge cadence honestly adds to the path
+
+
+def test_payload_tables_cover_every_kind():
+    local_only = {PayloadKind.DATA_ACCESS_LOG, PayloadKind.INTERCHAIN_ENVELOPE}
+    assert set(World.BRIDGE_HANDLERS) == set(PayloadKind) - local_only
+    assert set(World.ORG_HANDLERS) == {
+        PayloadKind.CASE_CREATE, PayloadKind.ACCESS_CONTROL, PayloadKind.STAGE_PROPOSAL,
+    }
+    assert set(PAYLOAD_TYPES) == set(PayloadKind) - {PayloadKind.INTERCHAIN_ENVELOPE}
+    with pytest.raises(ValueError, match="no payload decoder"):
+        decode_payload(PayloadKind.INTERCHAIN_ENVELOPE, b"")
