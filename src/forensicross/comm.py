@@ -180,8 +180,9 @@ class VerificationContract:
         Checks run in this order: duplicate, resolved, signature, count.
         A node's second submission for the same origin tx is ignored and
         recorded. A resolved entry (Validated, Rejected or Expired) never
-        changes status again, so its envelopes are not verified. An envelope from an unknown translator
-        node, or with a forged signature, is not counted.
+        changes status again, so its envelopes are not verified. An
+        envelope from an unknown translator node, or with a forged
+        signature, is not counted.
         """
         entry = self.entry_for(envelope.origin_tx_id, expected, tick)
         if envelope.translator_node in entry.submissions:

@@ -396,18 +396,6 @@ class World:
 
     # -- routing pipeline ------------------------------------------------------------------
 
-    def _new_report(self, tx: Transaction, chain_id: str, tick: int) -> None:
-        report = DeliveryReport(
-            tx_id=tx.tx_id,
-            kind=tx.payload_kind.value,
-            origin_chain=chain_id,
-            destinations=tx.destination_chains,
-        )
-        report.mutual_receipt_tick = tick
-        report.hops.append(Hop("mutual-receipt", chain_id, tick, 0, "ok"))
-        self.reports[tx.tx_id] = report
-        self._honest_bodies[tx.tx_id] = canonical_translation(tx)
-
     def _send_translations(
         self, tx: Transaction, mset: MutualNodeSet, target_chain: str,
         origin_id: str, tick: int,
@@ -460,7 +448,12 @@ class World:
         else:
             # anything else, bridge control traffic included, is its own origin
             origin_id = tx.tx_id
-            self._new_report(tx, chain_id, tick)
+            self.reports[origin_id] = DeliveryReport(
+                tx_id=origin_id, kind=tx.payload_kind.value, origin_chain=chain_id,
+                destinations=tx.destination_chains, mutual_receipt_tick=tick,
+                hops=[Hop("mutual-receipt", chain_id, tick, 0, "ok")],
+            )
+            self._honest_bodies[origin_id] = canonical_translation(tx)
         for mset, target_chain in hops:
             self._send_translations(tx, mset, target_chain, origin_id, tick)
 
