@@ -483,7 +483,9 @@ class World:
             self._handled.add(key)
             self._on_rejected(target_chain, entry, tick)
 
-    def _verify_hop(self, target_chain: str, origin_id: str, tick: int, outcome: str):
+    def _verify_hop(
+        self, target_chain: str, origin_id: str, tick: int, outcome: str
+    ) -> DeliveryReport | None:
         """Append the verification hop at `target_chain` to the origin's
         report, if it has one, and return the report."""
         report = self.reports.get(origin_id)
