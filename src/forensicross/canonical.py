@@ -6,11 +6,22 @@ digests are identical across platforms and runs. Integers are unsigned
 """
 from __future__ import annotations
 
-from typing import Iterable
+from enum import Enum
+from typing import Iterable, TypeVar
+
+E = TypeVar("E", bound=Enum)
 
 
 class DecodeError(ValueError):
     """Raised when canonical bytes cannot be parsed back."""
+
+
+def dec_enum(enum_cls: type[E], value: str) -> E:
+    """The member of `enum_cls` with this value; DecodeError if there is none."""
+    try:
+        return enum_cls(value)
+    except ValueError:
+        raise DecodeError(f"unknown {enum_cls.__name__} {value!r}") from None
 
 
 def enc_int(value: int) -> bytes:

@@ -13,6 +13,7 @@ from pathlib import Path
 
 from .canonical import (
     Reader,
+    dec_enum,
     enc_bytes,
     enc_int,
     enc_str,
@@ -91,7 +92,7 @@ class Transaction:
         r = Reader(data)
         tx_id = r.read_str()
         sender = r.read_bytes()
-        kind = PayloadKind(r.read_str())
+        kind = dec_enum(PayloadKind, r.read_str())
         body = r.read_bytes()
         source = r.read_str()
         destinations = r.read_str_list()

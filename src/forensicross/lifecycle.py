@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .canonical import Reader, enc_int, enc_str, enc_str_list
+from .canonical import DecodeError, Reader, dec_enum, enc_int, enc_str, enc_str_list
 from .chain import PayloadKind, Transaction, make_transaction
 from .crypto import Digest, KeyPair, hash_bytes
 from .errors import (
@@ -94,10 +94,13 @@ class AccessPolicy:
         for _ in range(r.read_int()):
             role = r.read_str()
             stage = r.read_int()
-            actions = {Action(v) for v in r.read_str_list()}
+            actions = {dec_enum(Action, v) for v in r.read_str_list()}
             grants[(role, stage)] = actions
         r.expect_end()
-        return cls.build(roles, grants)
+        try:
+            return cls.build(roles, grants)
+        except MalformedPolicy as exc:
+            raise DecodeError(str(exc)) from exc
 
     def digest(self) -> Digest:
         return hash_bytes(self.canonical_bytes())

@@ -157,27 +157,45 @@ def extract_provenance(
 
 
 def verify_and_localize(bundle: ProvenanceBundle) -> TamperReport:
-    """Recompute each chain's root from the bundled transactions and compare
-    against the bridge reference; on mismatch, compare stage by stage."""
+    """Recompute each chain's stage leaves from the bundled transactions and
+    report the stages whose leaf differs from the bridge reference.
+
+    Fails closed: raises MalformedBundle unless every section has a
+    reference and each reference a section, both sides hold exactly
+    `stage_count` stages, and each reference root is the Merkle root of its
+    own leaves. With the reference root checked, equal leaves are the same
+    as equal roots, so a root mismatch is always localized to some stage.
+    """
+    stage_count = bundle.stage_count
+    if set(bundle.bridge_refs) != set(bundle.sections):
+        raise MalformedBundle(
+            f"bridge references {sorted(bundle.bridge_refs)} "
+            f"do not match sections {sorted(bundle.sections)}"
+        )
     report = TamperReport(case_number=bundle.case_number)
     for chain_id, section in bundle.sections.items():
-        ref = bundle.bridge_refs.get(chain_id)
-        if ref is None:
-            raise MalformedBundle(f"no bridge reference for {chain_id}")
+        ref = bundle.bridge_refs[chain_id]
+        shape = (len(section.stage_transactions), len(ref.stage_leaves))
+        if shape != (stage_count, stage_count):
+            raise MalformedBundle(
+                f"{chain_id}: expected {stage_count} stages, got {shape[0]} "
+                f"transaction lists and {shape[1]} reference leaves"
+            )
+        try:
+            ref_root = case_chain_root(ref.stage_leaves, stage_count)
+        except ValueError as exc:  # a reference leaf of the wrong width
+            raise MalformedBundle(f"{chain_id}: {exc}") from exc
+        if ref_root != ref.root:
+            raise MalformedBundle(f"{chain_id}: bridge root is not the root of its leaves")
         leaves = [
             stage_leaf([tx.digest() for tx in txs])
             for txs in section.stage_transactions
         ]
-        root = case_chain_root(leaves, bundle.stage_count)
-        if root == ref.root:
-            report.verdicts[chain_id] = ()
-            continue
-        mismatched = tuple(
+        report.verdicts[chain_id] = tuple(
             stage
             for stage, (local, reference) in enumerate(zip(leaves, ref.stage_leaves))
             if local != reference
         )
-        report.verdicts[chain_id] = mismatched
     return report
 
 

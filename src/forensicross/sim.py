@@ -16,6 +16,7 @@ import json
 from functools import partial
 from pathlib import Path
 
+from .canonical import DecodeError
 from .chain import Chain, PayloadKind, SubmitError, Transaction, make_transaction
 from .comm import (
     DeliveryReport,
@@ -549,7 +550,7 @@ class World:
             try:
                 payload = decode_payload(kind, origin.body)
                 forward = self.BRIDGE_HANDLERS[kind](self, origin, payload, tick)
-            except ForensicrossError as exc:
+            except (ForensicrossError, DecodeError) as exc:
                 self.emit(
                     tick, "registry_error",
                     op=kind.value, error=type(exc).__name__, detail=str(exc),

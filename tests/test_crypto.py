@@ -15,6 +15,8 @@ from forensicross.crypto import (
     sign,
     verify,
 )
+from forensicross.scenario import load_scenario
+from forensicross.sim import World, write_event_log
 from oracles import recursive_merkle_root, sha
 
 # the standard SHA-256 digest of empty input
@@ -131,7 +133,8 @@ def test_merkle_rejects_wrong_width_leaf():
 
 
 def test_key_is_not_parsed_before_first_sign():
-    key = KeyPair.derive("lazy")
+    # from_seed, not derive: a derived key is shared and may have signed already
+    key = KeyPair.from_seed(hash_bytes(b"lazy"))
     assert "_signer" not in vars(key)
     sign(b"m", key)
     assert "_signer" in vars(key)
@@ -150,7 +153,8 @@ def test_reused_key_signs_exactly_like_a_fresh_parse():
 def test_signing_leaves_equality_hash_and_repr_unchanged():
     key = KeyPair.derive("eq")
     sign(b"m", key)
-    fresh = KeyPair.derive("eq")
+    fresh = KeyPair.from_seed(key.private_key)
+    assert fresh is not key and "_signer" not in vars(fresh)
     assert key == fresh
     assert hash(key) == hash(fresh)
     assert repr(key) == repr(fresh)
@@ -162,3 +166,26 @@ def test_key_that_has_signed_still_pickles():
     restored = pickle.loads(pickle.dumps(key))
     assert restored == key
     assert sign(b"m", restored) == signature
+
+
+def test_derive_returns_one_shared_key_per_label_tuple():
+    key = KeyPair.derive("scenario:7", ":node:", "A.m0")
+    assert KeyPair.derive("scenario:7", ":node:", "A.m0") is key
+    assert KeyPair.derive("scenario:7", ":node:", "A.m1") is not key
+    assert key == KeyPair.from_seed(hash_bytes(b"scenario:7:node:A.m0"))
+
+
+def _world_keys(world: World) -> list[KeyPair]:
+    users = [key for _spec, key in world.users.values()]
+    return [*world.keys.values(), *world.contract_keys.values(), *users]
+
+
+def test_worlds_of_one_scenario_share_their_keys(scenario_dir, tmp_path):
+    scenario = load_scenario(scenario_dir / "lifecycle_full.yaml")
+    first, second = World(scenario), World(scenario)
+    pairs = list(zip(_world_keys(first), _world_keys(second), strict=True))
+    assert pairs and all(a is b for a, b in pairs)
+    # the second world signs with keys the first has already used
+    write_event_log(first.run(), tmp_path / "first.jsonl")
+    write_event_log(second.run(), tmp_path / "second.jsonl")
+    assert (tmp_path / "second.jsonl").read_bytes() == (tmp_path / "first.jsonl").read_bytes()

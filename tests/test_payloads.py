@@ -1,17 +1,20 @@
-"""Payload encodings: pinned bytes per kind, round-trips and decoder fuzzing.
+"""Canonical encodings: pinned payload bytes per kind, and round-trips and
+decoder fuzzing for payloads, transactions and access policies.
 
 The pinned hex strings are the canonical bytes every chain signs and
 hashes; a codec change that moves them changes every transaction id and
-digest in the simulator.
+digest in the simulator. Every decoder may raise only `DecodeError` on bad
+bytes.
 """
 from typing import get_type_hints
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from forensicross.canonical import DecodeError
-from forensicross.chain import PayloadKind
+from forensicross.canonical import DecodeError, enc_bytes, enc_int, enc_str, enc_str_list
+from forensicross.chain import PayloadKind, Transaction
+from forensicross.lifecycle import AccessPolicy, Action
 from forensicross.payloads import (
     PHASE_BLOCKED,
     VOTE_REJECT,
@@ -140,3 +143,94 @@ def test_truncated_or_extended_encodings_raise_decode_error(payload, data):
         decode_payload(kind, encoded[:cut])
     with pytest.raises(DecodeError):
         decode_payload(kind, encoded + data.draw(st.binary(min_size=1, max_size=8)))
+
+
+# -- transactions and access policies ----------------------------------------------
+
+transactions = st.builds(
+    Transaction,
+    tx_id=st.text(max_size=12),
+    sender_public_key=st.binary(max_size=32),
+    payload_kind=st.sampled_from(list(PayloadKind)),
+    body=st.binary(max_size=60),
+    source_chain=st.text(max_size=6),
+    destination_chains=st.lists(st.text(max_size=6), max_size=4).map(tuple),
+    signature=st.binary(max_size=64),
+)
+
+
+@st.composite
+def policies(draw):
+    roles = draw(st.lists(st.text(max_size=8), min_size=1, max_size=4, unique=True))
+    grants = draw(st.dictionaries(
+        st.tuples(st.sampled_from(roles), st.integers(min_value=0, max_value=2**64 - 1)),
+        st.sets(st.sampled_from(list(Action))),
+        max_size=5,
+    ))
+    return AccessPolicy.build(roles, grants)
+
+
+DECODERS = {
+    "transaction": (transactions, Transaction.canonical_bytes, Transaction.from_canonical),
+    "policy": (policies(), AccessPolicy.canonical_bytes, AccessPolicy.from_canonical),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DECODERS))
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_transactions_and_policies_round_trip(name, data):
+    values, encode, decode = DECODERS[name]
+    value = data.draw(values)
+    assert decode(encode(value)) == value
+
+
+@pytest.mark.parametrize("name", sorted(DECODERS))
+@settings(max_examples=300, deadline=None)
+@given(data=st.binary(max_size=160))
+def test_decoders_raise_only_decode_error_on_arbitrary_bytes(name, data):
+    try:
+        DECODERS[name][2](data)
+    except DecodeError:
+        pass
+
+
+@pytest.mark.parametrize("name", sorted(DECODERS))
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_decoders_reject_truncated_or_extended_encodings(name, data):
+    values, encode, decode = DECODERS[name]
+    encoded = encode(data.draw(values))
+    cut = data.draw(st.integers(min_value=0, max_value=len(encoded) - 1))
+    with pytest.raises(DecodeError):
+        decode(encoded[:cut])
+    with pytest.raises(DecodeError):
+        decode(encoded + data.draw(st.binary(min_size=1, max_size=8)))
+
+
+@pytest.mark.parametrize("roles,action", [(["analyst"], "delete"), ([], "read")],
+                         ids=["unknown-action", "undeclared-role"])
+def test_bad_policy_bytes_are_a_decode_error(roles, action):
+    data = (
+        enc_str_list(roles) + enc_int(1)
+        + enc_str("analyst") + enc_int(0) + enc_str_list([action])
+    )
+    with pytest.raises(DecodeError):
+        AccessPolicy.from_canonical(data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(transactions, st.text(max_size=16))
+@example(Transaction("A-1", b"pk", PayloadKind.CASE_CREATE, b"", "A", (), b"sig"), "Bogus")
+def test_transaction_with_any_kind_text_decodes_or_raises_decode_error(tx, kind):
+    encoded = (
+        enc_str(tx.tx_id) + enc_bytes(tx.sender_public_key) + enc_str(kind)
+        + enc_bytes(tx.body) + enc_str(tx.source_chain)
+        + enc_str_list(tx.destination_chains) + enc_bytes(tx.signature)
+    )
+    try:
+        decoded = Transaction.from_canonical(encoded)
+    except DecodeError:
+        assert kind not in {k.value for k in PayloadKind}
+    else:
+        assert decoded.payload_kind.value == kind

@@ -161,3 +161,52 @@ def test_store_tamper_changes_only_the_store():
     after = store.transactions("C-1", 0)[0].digest()
     assert before != after
     assert tx.body == b"orig"  # the original object is untouched
+
+
+
+def _forge_root(bundle):
+    ref = bundle.bridge_refs["A"]
+    bundle.bridge_refs["A"] = replace(ref, root=sha(ref.root))
+
+
+def _truncate_reference_leaves(bundle):
+    # the dropped stage is the tampered one: zip would have skipped it
+    txs = bundle.sections["B"].stage_transactions[4]
+    txs[0] = replace(txs[0], body=b"forged")
+    ref = bundle.bridge_refs["B"]
+    bundle.bridge_refs["B"] = replace(ref, stage_leaves=ref.stage_leaves[:4])
+
+
+def _shorten_section(bundle):
+    section = bundle.sections["A"]
+    bundle.sections["A"] = replace(
+        section, stage_transactions=section.stage_transactions[:3]
+    )
+
+
+def _narrow_reference_leaf(bundle):
+    ref = bundle.bridge_refs["A"]
+    bundle.bridge_refs["A"] = replace(ref, stage_leaves=[b"\x01"] + ref.stage_leaves[1:])
+
+
+def _drop_section(bundle):
+    del bundle.sections["B"]
+
+
+@pytest.mark.parametrize("malform", [
+    _forge_root,
+    _truncate_reference_leaves,
+    _shorten_section,
+    _narrow_reference_leaf,
+    _drop_section,
+], ids=lambda f: f.__name__.lstrip("_"))
+def test_malformed_bundle_fails_closed(scenario_dir, malform):
+    """Each of these read as intact or leaked a raw ValueError before."""
+    world = _tamper_world(scenario_dir)
+    case = world.registry.cases["C-1"]
+    bundle = extract_provenance(
+        world.registry, "C-1", sorted(case.query_nodes)[0], world.stores
+    )
+    malform(bundle)
+    with pytest.raises(MalformedBundle):
+        verify_and_localize(bundle)

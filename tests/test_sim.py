@@ -1,11 +1,18 @@
 import json
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
-from forensicross.chain import PayloadKind, validate_chain
+from forensicross.canonical import enc_int, enc_str, enc_str_list
+from forensicross.chain import PayloadKind, make_transaction, validate_chain
 from forensicross.errors import InvalidTopology, ScenarioError
-from forensicross.payloads import PAYLOAD_TYPES, decode_payload
+from forensicross.payloads import (
+    PAYLOAD_TYPES,
+    AccessControlPayload,
+    decode_payload,
+    encode_payload,
+)
 from forensicross.scenario import (
     FAULT_COMPROMISE,
     FAULT_TAMPER,
@@ -16,6 +23,7 @@ from forensicross.scenario import (
     scenario_from_dict,
 )
 from forensicross.sim import (
+    BRIDGE_CHAIN_ID,
     World,
     compare_designs,
     make_comparison_scenario,
@@ -272,3 +280,24 @@ def test_payload_tables_cover_every_kind():
     assert set(PAYLOAD_TYPES) == set(PayloadKind) - {PayloadKind.INTERCHAIN_ENVELOPE}
     with pytest.raises(ValueError, match="no payload decoder"):
         decode_payload(PayloadKind.INTERCHAIN_ENVELOPE, b"")
+
+
+# a policy whose one grant names an action no Action member has
+BOGUS_ACTION_POLICY = (
+    enc_str_list(["analyst"]) + enc_int(1)
+    + enc_str("analyst") + enc_int(0) + enc_str_list(["delete"])
+)
+
+
+@pytest.mark.parametrize("body", [
+    encode_payload(AccessControlPayload("C-7", BOGUS_ACTION_POLICY)),
+    b"\x00\x00\x00",
+], ids=["bogus-action-policy", "truncated-payload"])
+def test_bridge_turns_an_undecodable_body_into_a_registry_error(scenario_dir, body):
+    world = World(load_scenario(scenario_dir / "bridge_small.yaml"))
+    spec, key = next(iter(world.users.values()))
+    origin = make_transaction(PayloadKind.ACCESS_CONTROL, body, spec.chain, ("B",), key)
+    entry = SimpleNamespace(origin_tx_id="forged", winning_body=origin.canonical_bytes())
+    world._on_validated(BRIDGE_CHAIN_ID, entry, tick=3)
+    assert world.events[-1]["event"] == "registry_error"
+    assert world.events[-1]["error"] == "DecodeError"
