@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 
 from .canonical import (
@@ -85,7 +86,25 @@ class Transaction:
         )
 
     def digest(self) -> Digest:
+        """SHA-256 of `canonical_bytes()`, memoized per object.
+
+        The memo is safe because a transaction is frozen: a changed record is
+        a new object (`dataclasses.replace`), which hashes its own bytes. The
+        memo stays out of the fields, so `__eq__`, `__hash__`, `repr` and
+        `replace` ignore it, and pickling drops it. `canonical_bytes` is not
+        memoized: keeping every record's encoding alive raised the peak RSS
+        of the evidence-audit benchmark by about 5%, the 32-byte digest
+        alone by about 1.5%.
+        """
+        return self._digest
+
+    @cached_property
+    def _digest(self) -> Digest:
         return hash_bytes(self.canonical_bytes())
+
+    def __getstate__(self) -> dict:
+        # a memo never travels: the receiver hashes the bytes it holds
+        return {k: v for k, v in self.__dict__.items() if k != "_digest"}
 
     @classmethod
     def from_canonical(cls, data: bytes) -> "Transaction":
@@ -141,7 +160,17 @@ class Block:
         )
 
     def header_digest(self) -> Digest:
+        """SHA-256 of `header_bytes()`, memoized per object, as
+        `Transaction.digest` is and for the same reasons: a block is frozen,
+        and a changed block is a new object."""
+        return self._header_digest
+
+    @cached_property
+    def _header_digest(self) -> Digest:
         return hash_bytes(self.header_bytes())
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k != "_header_digest"}
 
 
 def tx_root(transactions: tuple[Transaction, ...] | list[Transaction]) -> Digest:
@@ -203,7 +232,9 @@ class Chain:
         return self.authority_set[height % len(self.authority_set)]
 
     def mine_block(self, validator: KeyPair, timestamp: int | None = None) -> Block:
-        if validator.public_key not in self.authority_set:
+        """Seal the pending pool into the next block, signed by `validator`,
+        which must be the authority `expected_validator` schedules for it."""
+        if validator.public_key != self.expected_validator(len(self.blocks)):
             raise UnauthorizedValidator(self.chain_id)
         ts = self.clock if timestamp is None else timestamp
         prev = self.blocks[-1].header_digest() if self.blocks else ZERO_DIGEST
@@ -225,7 +256,8 @@ class Chain:
 
 def validate_chain(chain: Chain) -> ChainFault | None:
     """None when intact, else the lowest height whose linkage, Merkle root,
-    or validator signature fails."""
+    validator (in the authority set and on the round-robin schedule) or
+    validator signature fails."""
     prev_digest = ZERO_DIGEST
     for i, block in enumerate(chain.blocks):
         if block.height != i:
@@ -236,6 +268,8 @@ def validate_chain(chain: Chain) -> ChainFault | None:
             return ChainFault(i, "tx merkle root mismatch")
         if block.validator_public_key not in chain.authority_set:
             return ChainFault(i, "validator not in authority set")
+        if block.validator_public_key != chain.expected_validator(i):
+            return ChainFault(i, "unexpected validator")
         digest = block.header_digest()
         try:
             ok = verify(digest, block.validator_signature, block.validator_public_key)

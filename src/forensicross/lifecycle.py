@@ -98,9 +98,14 @@ class AccessPolicy:
             grants[(role, stage)] = actions
         r.expect_end()
         try:
-            return cls.build(roles, grants)
+            policy = cls.build(roles, grants)
         except MalformedPolicy as exc:
             raise DecodeError(str(exc)) from exc
+        # unsorted or repeated roles and grants would otherwise collapse, so
+        # distinct signed bodies could decode to one policy
+        if policy.canonical_bytes() != data:
+            raise DecodeError("policy bytes are not canonical")
+        return policy
 
     def digest(self) -> Digest:
         return hash_bytes(self.canonical_bytes())

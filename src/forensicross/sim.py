@@ -525,7 +525,9 @@ class World:
     def _on_validated(self, target_chain: str, entry, tick: int) -> None:
         """Apply a majority-validated origin at `target_chain`: the bridge
         runs its registry handler, an organization chain its replica
-        handler; both then record the winning body on their own chain."""
+        handler; both then record the winning body on their own chain. A
+        body that does not decode, or that the registry or the replica
+        refuses, becomes a `registry_error` event and is not recorded."""
         origin_id = entry.origin_tx_id
         honest_body = self._honest_bodies.get(origin_id)
         is_honest = entry.winning_body == honest_body if honest_body is not None else None
@@ -543,24 +545,26 @@ class World:
             return
         if report is not None and report.winning_is_honest is None:
             report.winning_is_honest = True
-        origin = Transaction.from_canonical(entry.winning_body)
         forward: tuple[str, ...] = ()
-        if target_chain == BRIDGE_CHAIN_ID:
+        op = PayloadKind.INTERCHAIN_ENVELOPE.value  # until the origin decodes
+        try:
+            origin = Transaction.from_canonical(entry.winning_body)
             kind = origin.payload_kind
-            try:
+            op = kind.value
+            if target_chain == BRIDGE_CHAIN_ID:
                 payload = decode_payload(kind, origin.body)
                 forward = self.BRIDGE_HANDLERS[kind](self, origin, payload, tick)
-            except (ForensicrossError, DecodeError) as exc:
-                self.emit(
-                    tick, "registry_error",
-                    op=kind.value, error=type(exc).__name__, detail=str(exc),
-                )
-                if report is not None:
-                    report.status = STATUS_REGISTRY_REJECTED
-                    report.accepted_ticks[BRIDGE_CHAIN_ID] = tick
-                return
-        else:
-            self._apply_org(target_chain, origin, tick)
+            else:
+                self._apply_org(target_chain, origin, tick)
+        except (ForensicrossError, DecodeError) as exc:
+            self.emit(
+                tick, "registry_error",
+                op=op, error=type(exc).__name__, detail=str(exc),
+            )
+            if report is not None:
+                report.status = STATUS_REGISTRY_REJECTED
+                report.accepted_ticks[target_chain] = tick
+            return
         record = make_transaction(
             PayloadKind.INTERCHAIN_ENVELOPE, entry.winning_body,
             target_chain, forward, self.contract_keys[target_chain],

@@ -6,6 +6,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -13,6 +14,19 @@ from forensicross.chain import Block, Chain, PayloadKind, Transaction, make_tran
 from forensicross.crypto import KeyPair
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
+
+
+# arbitrary field values: enough for the codec and the digest, not signed
+transactions = st.builds(
+    Transaction,
+    tx_id=st.text(max_size=12),
+    sender_public_key=st.binary(max_size=32),
+    payload_kind=st.sampled_from(list(PayloadKind)),
+    body=st.binary(max_size=60),
+    source_chain=st.text(max_size=6),
+    destination_chains=st.lists(st.text(max_size=6), max_size=4).map(tuple),
+    signature=st.binary(max_size=64),
+)
 
 
 @pytest.fixture

@@ -1,14 +1,17 @@
 import hashlib
 import json
+import pickle
 import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
 
-from conftest import build_random_chain, mutate_block_somewhere
+from conftest import build_random_chain, mutate_block_somewhere, transactions
 from forensicross.chain import (
     Block,
     Chain,
+    ChainFault,
     EMPTY_BLOCK_MARKER,
     PayloadKind,
     SubmitError,
@@ -18,8 +21,8 @@ from forensicross.chain import (
     make_transaction,
     validate_chain,
 )
-from forensicross.crypto import KeyPair, ZERO_DIGEST
-from oracles import recursive_merkle_root
+from forensicross.crypto import KeyPair, ZERO_DIGEST, sign
+from oracles import recursive_merkle_root, sha
 
 
 def fresh_chain(n_validators: int = 3) -> tuple[Chain, list[KeyPair], KeyPair]:
@@ -151,19 +154,35 @@ def test_validate_catches_signature_over_wrong_header():
     rng = random.Random(3)
     chain, validators = build_random_chain(rng, blocks=10)
     block = chain.blocks[7]
-    # a different validator signs a *different* header: valid key, wrong content
-    other = next(v for v in validators if v.public_key != block.validator_public_key)
-    from forensicross.crypto import sign
-
+    # the scheduled validator signs a *different* header: valid key, wrong content
+    signer = next(v for v in validators if v.public_key == block.validator_public_key)
     wrong_header = replace(block, timestamp=block.timestamp + 1).header_digest()
-    forged = replace(
-        block,
-        validator_public_key=other.public_key,
-        validator_signature=sign(wrong_header, other),
+    chain.blocks[7] = replace(block, validator_signature=sign(wrong_header, signer))
+    assert validate_chain(chain) == ChainFault(7, "validator signature invalid")
+
+
+def test_mine_rejects_off_schedule_authority():
+    chain, validators, user = fresh_chain()
+    chain.submit_transaction(some_tx(user))
+    with pytest.raises(UnauthorizedValidator):
+        chain.mine_block(validators[1])
+    assert chain.blocks == [] and len(chain.pending_pool) == 1
+    chain.mine_block(validators[0])
+    assert len(chain.blocks) == 1
+
+
+def test_validate_reports_a_correctly_signed_off_schedule_block():
+    chain, validators, user = fresh_chain()
+    chain.mine_block(validators[0])
+    chain.submit_transaction(some_tx(user))
+    block = chain.mine_block(validators[1])
+    # validators[2] is an authority and signs the header correctly, but
+    # height 1 belongs to validators[1]
+    unsigned = replace(block, validator_public_key=validators[2].public_key)
+    chain.blocks[1] = replace(
+        unsigned, validator_signature=sign(unsigned.header_digest(), validators[2])
     )
-    chain.blocks[7] = forged
-    fault = validate_chain(chain)
-    assert fault is not None and fault.height == 7
+    assert validate_chain(chain) == ChainFault(1, "unexpected validator")
 
 
 def test_mining_is_append_only():
@@ -202,3 +221,67 @@ def test_dump_chain_is_line_delimited_hex(tmp_path):
         assert set(record) >= {"height", "hash", "prev_hash", "tx_merkle_root"}
         bytes.fromhex(record["hash"])  # lowercase hex round-trips
         assert record["hash"] == record["hash"].lower()
+
+
+# -- per-object digest memos ---------------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(transactions)
+def test_digest_is_sha256_of_canonical_bytes_on_every_call(tx):
+    expected = sha(tx.canonical_bytes())
+    assert tx.digest() == expected
+    assert tx.digest() == expected
+
+
+TX_FIELD_CHANGES = {
+    "tx_id": "A:99",
+    "sender_public_key": b"\x01" * 32,
+    "payload_kind": PayloadKind.STAGE_VOTE,
+    "body": b"other body",
+    "source_chain": "Z",
+    "destination_chains": ("B", "C"),
+    "signature": b"\x02" * 64,
+}
+
+
+@pytest.mark.parametrize("field", sorted(TX_FIELD_CHANGES))
+def test_replace_after_a_cached_digest_hashes_the_new_fields(field):
+    _chain, _v, user = fresh_chain()
+    tx = some_tx(user)
+    original = tx.digest()
+    changed = replace(tx, **{field: TX_FIELD_CHANGES[field]})
+    assert changed.digest() == sha(changed.canonical_bytes())
+    assert changed.digest() != original
+    assert tx.digest() == original
+
+
+def test_cached_digests_leave_equality_hash_repr_and_pickling_unchanged():
+    chain, _validators = build_random_chain(random.Random(6), blocks=3)
+    mined = next(b for b in chain.blocks if b.transactions)
+    # copies made by replace start without a memo
+    tx, block = replace(mined.transactions[0]), replace(mined)
+    assert "_digest" not in vars(tx) and "_header_digest" not in vars(block)
+    fresh_tx, fresh_block = pickle.loads(pickle.dumps((tx, block)))
+    before = (repr(tx), hash(tx), repr(block), hash(block))
+    pickled = pickle.dumps((tx, block))
+    tx.digest()
+    block.header_digest()
+    assert "_digest" in vars(tx) and "_header_digest" in vars(block)
+    assert (repr(tx), hash(tx), repr(block), hash(block)) == before
+    assert tx == fresh_tx and block == fresh_block
+    assert pickle.dumps((tx, block)) == pickled
+    restored_tx, restored_block = pickle.loads(pickled)
+    assert restored_tx.digest() == tx.digest()
+    assert restored_block.header_digest() == block.header_digest()
+
+
+def test_swapped_transaction_is_caught_after_digests_are_cached():
+    chain, _validators = build_random_chain(random.Random(7), blocks=8)
+    assert validate_chain(chain) is None  # caches every tx and header digest
+    target = next(h for h in range(2, 8) if chain.blocks[h].transactions)
+    block = chain.blocks[target]
+    txs = list(block.transactions)
+    txs[-1] = replace(txs[-1], body=txs[-1].body + b"!")
+    chain.blocks[target] = replace(block, transactions=tuple(txs))
+    assert validate_chain(chain) == ChainFault(target, "tx merkle root mismatch")

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import transactions
 from forensicross.canonical import DecodeError, enc_bytes, enc_int, enc_str, enc_str_list
 from forensicross.chain import PayloadKind, Transaction
 from forensicross.lifecycle import AccessPolicy, Action
@@ -147,18 +148,6 @@ def test_truncated_or_extended_encodings_raise_decode_error(payload, data):
 
 # -- transactions and access policies ----------------------------------------------
 
-transactions = st.builds(
-    Transaction,
-    tx_id=st.text(max_size=12),
-    sender_public_key=st.binary(max_size=32),
-    payload_kind=st.sampled_from(list(PayloadKind)),
-    body=st.binary(max_size=60),
-    source_chain=st.text(max_size=6),
-    destination_chains=st.lists(st.text(max_size=6), max_size=4).map(tuple),
-    signature=st.binary(max_size=64),
-)
-
-
 @st.composite
 def policies(draw):
     roles = draw(st.lists(st.text(max_size=8), min_size=1, max_size=4, unique=True))
@@ -217,6 +206,40 @@ def test_bad_policy_bytes_are_a_decode_error(roles, action):
     )
     with pytest.raises(DecodeError):
         AccessPolicy.from_canonical(data)
+
+
+def test_non_canonical_policy_bytes_are_a_decode_error():
+    # unsorted, repeated roles and two grants for one (role, stage): this used
+    # to decode to a policy granting only upload, re-encoded to 57 of 91 bytes
+    data = (
+        enc_str_list(["b", "a", "a"]) + enc_int(2)
+        + enc_str("a") + enc_int(0) + enc_str_list(["read"])
+        + enc_str("a") + enc_int(0) + enc_str_list(["upload"])
+    )
+    assert len(data) == 91
+    with pytest.raises(DecodeError, match="not canonical"):
+        AccessPolicy.from_canonical(data)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_policy_bytes_that_decode_re_encode_to_themselves(data):
+    # structure-aware bytes reach the decoder's success path far more often
+    # than arbitrary bytes do
+    roles = data.draw(st.lists(st.sampled_from(["a", "b", "c"]), max_size=4))
+    grants = data.draw(st.lists(st.tuples(
+        st.sampled_from(["a", "b", "c"]), st.integers(min_value=0, max_value=2),
+        st.lists(st.sampled_from([a.value for a in Action]), max_size=3),
+    ), max_size=4))
+    encoded = enc_str_list(roles) + enc_int(len(grants))
+    for role, stage, actions in grants:
+        encoded += enc_str(role) + enc_int(stage) + enc_str_list(actions)
+    for candidate in (encoded, data.draw(st.binary(max_size=80))):
+        try:
+            policy = AccessPolicy.from_canonical(candidate)
+        except DecodeError:
+            continue
+        assert policy.canonical_bytes() == candidate
 
 
 @settings(max_examples=300, deadline=None)

@@ -6,6 +6,7 @@ import pytest
 
 from forensicross.canonical import enc_int, enc_str, enc_str_list
 from forensicross.chain import PayloadKind, make_transaction, validate_chain
+from forensicross.comm import DeliveryReport
 from forensicross.errors import InvalidTopology, ScenarioError
 from forensicross.payloads import (
     PAYLOAD_TYPES,
@@ -301,3 +302,24 @@ def test_bridge_turns_an_undecodable_body_into_a_registry_error(scenario_dir, bo
     world._on_validated(BRIDGE_CHAIN_ID, entry, tick=3)
     assert world.events[-1]["event"] == "registry_error"
     assert world.events[-1]["error"] == "DecodeError"
+
+
+@pytest.mark.parametrize("scenario,target,kind,body", [
+    ("bridge_small", BRIDGE_CHAIN_ID, None, b"not a transaction"),
+    ("mesh_small", "B", None, b"not a transaction"),
+    ("mesh_small", "B", PayloadKind.CASE_CREATE, b"\x00\x00"),
+], ids=["bridge-origin", "mesh-origin", "mesh-payload"])
+def test_undecodable_validated_body_is_a_registry_error(scenario_dir, scenario, target, kind, body):
+    world = World(load_scenario(scenario_dir / f"{scenario}.yaml"))
+    spec, key = next(iter(world.users.values()))
+    if kind is None:
+        winning_body = body  # the origin transaction itself does not decode
+    else:
+        winning_body = make_transaction(kind, body, spec.chain, (target,), key).canonical_bytes()
+    world.reports["forged"] = DeliveryReport("forged", "CaseCreate", spec.chain, (target,))
+    entry = SimpleNamespace(origin_tx_id="forged", winning_body=winning_body)
+    world._on_validated(target, entry, tick=3)
+    assert world.events[-1]["event"] == "registry_error"
+    assert world.events[-1]["error"] == "DecodeError"
+    assert world.reports["forged"].status == "registry-rejected"
+    assert world.chains[target].pending_pool == []  # nothing recorded
