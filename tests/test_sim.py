@@ -3,6 +3,7 @@ from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
+import yaml
 
 from forensicross.canonical import enc_int, enc_str, enc_str_list
 from forensicross.chain import PayloadKind, make_transaction, validate_chain
@@ -270,6 +271,73 @@ def test_block_time_slows_but_preserves_delivery():
     report = next(r for r in world.reports.values() if r.kind == "CaseCreate")
     assert report.status == "delivered"
     assert report.duration > 2  # bridge cadence honestly adds to the path
+
+
+# One workload row per action_error path, run on top of bridge_small at a
+# tick after its own workload. Each action runs its pre-checks in a fixed
+# order, so the first one that fails names the error: the scenario policy,
+# then the query-node keys, the registered user, the destinations and
+# last the case. Only the C-404 row of the error golden pinned one of these.
+ACTION_ERROR_ROWS = {
+    "create-case-no-destinations": (
+        {"action": "create-case", "user": "alice", "case": "C-8"},
+        ("EmptyDestinations", "C-8"),
+    ),
+    "create-case-foreign-user": (
+        {"action": "create-case", "user": "bob", "case": "C-8", "destinations": ["B"]},
+        ("UnknownUser", "user not registered on A"),
+    ),
+    "create-case-no-user": (
+        {"action": "create-case", "case": "C-8", "destinations": ["B"]},
+        ("UnknownUser", ""),
+    ),
+    "dispatch-policy-no-policy-foreign-user": (
+        {"action": "dispatch-policy", "user": "bob", "case": "C-404"},
+        ("ScenarioError", "scenario declares no policy to dispatch"),
+    ),
+    **{
+        f"{action}-unknown-case": (
+            {"action": action, "user": "alice", "case": "C-404", **extra},
+            ("UnknownCase", "C-404 unknown on A"),
+        )
+        for action, extra in [
+            ("dispatch-policy", {}),
+            ("assign-query-nodes", {"nodes": ["querya"]}),
+            ("propose-stage", {"stage": 1}),
+            ("request-provenance", {}),
+            ("access", {"op": "read"}),
+        ]
+    },
+    **{
+        f"{action}-foreign-user-unknown-case": (
+            {"action": action, "user": "bob", "case": "C-404", **extra},
+            ("UnknownUser", "user not registered on A"),
+        )
+        for action, extra in [
+            ("dispatch-policy", {}),
+            ("assign-query-nodes", {"nodes": ["querya"]}),
+            ("propose-stage", {"stage": 1}),
+            ("request-provenance", {}),
+            ("access", {"op": "read"}),
+        ]
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(ACTION_ERROR_ROWS))
+def test_each_action_names_its_first_failing_pre_check(scenario_dir, name):
+    row, expected = ACTION_ERROR_ROWS[name]
+    data = yaml.safe_load((scenario_dir / "bridge_small.yaml").read_text(encoding="utf-8"))
+    if name.startswith("dispatch-policy-no-policy"):
+        del data["policy"]
+    data["workload"].append({"tick": 30, "chain": "A", **row})
+    world = run_scenario(scenario_from_dict(data, name=f"bridge_small_{name}"))
+    errors = [
+        (e["error"], e["detail"]) for e in world.events
+        if e["event"] == "action_error" and e["tick"] == 30
+    ]
+    assert errors == [expected]
+    assert not any(e["event"] == "tx_submitted" and e["tick"] == 30 for e in world.events)
 
 
 def test_payload_tables_cover_every_kind():
