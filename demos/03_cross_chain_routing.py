@@ -8,6 +8,7 @@ a lone compromised translator changes nothing.
 from dataclasses import replace
 
 from forensicross import Design, route_transaction
+from forensicross.payloads import CaseCreatePayload, payload_transaction
 from forensicross.scenario import FAULT_COMPROMISE, FaultSpec, RULE_EQUIVOCATE
 from forensicross.sim import World, make_comparison_scenario
 
@@ -16,7 +17,7 @@ def route_once(design: Design, faults=()):
     scenario = make_comparison_scenario(3, design, "single")
     scenario = replace(scenario, workload=(), faults=tuple(faults))
     world = World(scenario)
-    tx = world.org["A"].create_case_request(world.users["creator"][1], "C-42", ["B"])
+    tx = payload_transaction(CaseCreatePayload("C-42"), "A", world.users["creator"][1], ("B",))
     report = route_transaction(tx, world)
     print(f"[{design.value}] tx {report.tx_id}: status={report.status}, "
           f"duration={report.duration} ticks, messages={report.message_count}")

@@ -24,7 +24,6 @@ from .comm import (
     VerificationContract,
     VerifyStatus,
     canonical_translation,
-    route_transaction,
     translate,
     verify_translations,
 )
@@ -48,7 +47,7 @@ from .provenance import (
 )
 from .registry import BridgeRegistry, CaseContract, StageHashRecord, StageOutcome
 from .scenario import Scenario, load_scenario
-from .sim import World, compare_designs, run_scenario
+from .sim import World, compare_designs, route_transaction, run_scenario
 from .topology import (
     Design,
     TopologyParams,

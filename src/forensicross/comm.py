@@ -256,10 +256,3 @@ class DeliveryReport:
             for h in self.hops
         ]
 
-
-def route_transaction(tx: Transaction, world) -> DeliveryReport:
-    """Submit `tx` on its source chain and drive the world until the routing
-    pipeline resolves; returns the delivery report for it."""
-    accepted = world.inject_transaction(tx)
-    world.run()
-    return world.reports[accepted.tx_id]

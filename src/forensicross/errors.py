@@ -46,6 +46,10 @@ class EmptyDestinations(ForensicrossError):
     pass
 
 
+class UnexpectedKind(ForensicrossError):
+    """A validated origin of a kind its receiving side has no handler for."""
+
+
 class MalformedPolicy(ForensicrossError):
     pass
 

@@ -1,5 +1,5 @@
-"""Organization-chain side of a case: creation requests, the staged role
-matrix, and retrieval/upload logging.
+"""Organization-chain side of a case: registered users, each chain's case
+replica, the staged role matrix, and retrieval/upload logging.
 
 Every chain keeps its own view of each shared case (creator, participants,
 current stage, the dispatched policy). Access decisions are deny-by-default
@@ -12,24 +12,10 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .canonical import DecodeError, Reader, dec_enum, enc_int, enc_str, enc_str_list
-from .chain import PayloadKind, Transaction, make_transaction
+from .chain import Transaction
 from .crypto import Digest, KeyPair, hash_bytes
-from .errors import (
-    EmptyDestinations,
-    MalformedPolicy,
-    UnknownCase,
-    UnknownUser,
-)
-from .payloads import (
-    AccessControlPayload,
-    CaseCreatePayload,
-    DataAccessLogPayload,
-    ProvenanceRequestPayload,
-    QueryNodeAssignPayload,
-    StageProposalPayload,
-    StageVotePayload,
-    encode_payload,
-)
+from .errors import MalformedPolicy, UnknownCase, UnknownUser
+from .payloads import DataAccessLogPayload, payload_transaction
 
 DEFAULT_STAGE_NAMES = (
     "identification",
@@ -127,18 +113,6 @@ class AccessLogEntry:
     tick: int
     tx_id: str = ""
 
-    def to_record(self) -> dict:
-        return {
-            "case": self.case_number,
-            "actor": self.actor_public_key.hex(),
-            "role": self.role,
-            "action": self.action.value,
-            "stage": self.stage,
-            "decision": self.decision,
-            "tick": self.tick,
-            "tx_id": self.tx_id,
-        }
-
 
 @dataclass
 class LocalCase:
@@ -181,62 +155,6 @@ class OrgChainState:
         except KeyError:
             raise UnknownCase(f"{case_number} unknown on {self.chain_id}") from None
 
-    # -- transaction builders -------------------------------------------------
-
-    def create_case_request(
-        self, user: KeyPair, case_number: str, destinations: list[str]
-    ) -> Transaction:
-        self.require_user(user)
-        if not destinations:
-            raise EmptyDestinations(case_number)
-        body = encode_payload(CaseCreatePayload(case_number))
-        return make_transaction(
-            PayloadKind.CASE_CREATE, body, self.chain_id, destinations, user
-        )
-
-    def dispatch_access_policy(
-        self, user: KeyPair, case_number: str, policy: AccessPolicy
-    ) -> Transaction:
-        self.require_user(user)
-        case = self.require_case(case_number)
-        body = encode_payload(AccessControlPayload(case_number, policy.canonical_bytes()))
-        return make_transaction(
-            PayloadKind.ACCESS_CONTROL, body, self.chain_id, case.destination_chains, user
-        )
-
-    def assign_query_nodes_request(
-        self, user: KeyPair, case_number: str, public_keys: list[bytes]
-    ) -> Transaction:
-        self.require_user(user)
-        self.require_case(case_number)
-        body = encode_payload(QueryNodeAssignPayload(case_number, tuple(public_keys)))
-        return make_transaction(PayloadKind.QUERY_NODE_ASSIGN, body, self.chain_id, (), user)
-
-    def propose_stage_request(
-        self, user: KeyPair, case_number: str, stage: int
-    ) -> Transaction:
-        self.require_user(user)
-        case = self.require_case(case_number)
-        attempt = case.proposal_attempts.get(stage, 0) + 1
-        case.proposal_attempts[stage] = attempt
-        body = encode_payload(StageProposalPayload(case_number, stage, attempt))
-        return make_transaction(PayloadKind.STAGE_PROPOSAL, body, self.chain_id, (), user)
-
-    def stage_vote_tx(
-        self, signer: KeyPair, case_number: str, stage: int, round_: int,
-        vote: str, reason: str = ""
-    ) -> Transaction:
-        body = encode_payload(StageVotePayload(case_number, stage, round_, vote, reason))
-        return make_transaction(PayloadKind.STAGE_VOTE, body, self.chain_id, (), signer)
-
-    def provenance_request_tx(self, user: KeyPair, case_number: str) -> Transaction:
-        self.require_user(user)
-        self.require_case(case_number)
-        body = encode_payload(ProvenanceRequestPayload(case_number, user.public_key))
-        return make_transaction(
-            PayloadKind.PROVENANCE_REQUEST, body, self.chain_id, (), user
-        )
-
     def data_access_tx(
         self, user: KeyPair, case_number: str, action: Action,
         payload_digest: Digest, tick: int,
@@ -258,7 +176,7 @@ class OrgChainState:
             decision=decision,
             tick=tick,
         )
-        body = encode_payload(DataAccessLogPayload(
+        payload = DataAccessLogPayload(
             case_number=case_number,
             actor_public_key=user.public_key,
             role=role,
@@ -266,9 +184,8 @@ class OrgChainState:
             stage=case.stage,
             decision=decision,
             payload_digest=payload_digest,
-        ))
-        tx = make_transaction(PayloadKind.DATA_ACCESS_LOG, body, self.chain_id, (), user)
-        return tx, entry
+        )
+        return payload_transaction(payload, self.chain_id, user), entry
 
     # -- replica updates -------------------------------------------------------
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass, fields
 from typing import get_type_hints
 
 from .canonical import (
+    DecodeError,
     Reader,
     enc_bytes,
     enc_bytes_list,
@@ -20,7 +21,8 @@ from .canonical import (
     enc_str,
     enc_str_list,
 )
-from .chain import PayloadKind
+from .chain import PayloadKind, Transaction, make_transaction
+from .crypto import KeyPair
 
 PHASE_OPEN = "open"
 PHASE_ADVANCED = "advanced"
@@ -91,6 +93,7 @@ PAYLOAD_TYPES = {
     PayloadKind.DATA_ACCESS_LOG: DataAccessLogPayload,
     PayloadKind.PROVENANCE_REQUEST: ProvenanceRequestPayload,
 }
+PAYLOAD_KINDS = {cls: kind for kind, cls in PAYLOAD_TYPES.items()}
 
 _CODECS = {
     str: (enc_str, Reader.read_str),
@@ -114,12 +117,22 @@ def encode_payload(payload) -> bytes:
     )
 
 
+def payload_transaction(
+    payload, source_chain: str, key: KeyPair, destinations: tuple[str, ...] = ()
+) -> Transaction:
+    """Sign `payload` on `source_chain` as a transaction of its kind."""
+    return make_transaction(
+        PAYLOAD_KINDS[type(payload)], encode_payload(payload),
+        source_chain, destinations, key,
+    )
+
+
 def decode_payload(kind: PayloadKind, body: bytes):
     """Decode a transaction body into its typed payload."""
     try:
         cls = PAYLOAD_TYPES[kind]
     except KeyError:
-        raise ValueError(f"no payload decoder for {kind}") from None
+        raise DecodeError(f"no payload decoder for {kind.value}") from None
     r = Reader(body)
     out = cls(*[read(r) for _name, _enc, read in _FIELD_CODECS[cls]])
     r.expect_end()

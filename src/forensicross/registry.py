@@ -223,7 +223,7 @@ class BridgeRegistry:
         if stage > case.current_stage:
             raise FutureStage(f"stage {stage} ahead of {case.current_stage}")
         if not (0 <= stage < case.stage_count):
-            raise ValueError(f"stage {stage} outside 0..{case.stage_count - 1}")
+            raise StaleStage(f"stage {stage} outside 0..{case.stage_count - 1}")
         record = case.stage_records.get((chain_id, stage))
         if record is None:
             record = StageHashRecord(case_number, chain_id, stage)

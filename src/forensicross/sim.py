@@ -29,23 +29,30 @@ from .comm import (
 )
 from .crypto import KeyPair, hash_bytes
 from .errors import (
+    EmptyDestinations,
     ForensicrossError,
     InvalidTopology,
     NotQueryNode,
     ScenarioError,
     StaleStage,
+    UnexpectedKind,
     UnknownCase,
     UnknownUser,
 )
-from .lifecycle import Action, AccessPolicy, OrgChainState
+from .lifecycle import Action, AccessPolicy, LocalCase, OrgChainState
 from .payloads import (
     PHASE_ADVANCED,
     PHASE_BLOCKED,
     PHASE_OPEN,
-    StageProposalPayload,
     VOTE_APPROVE,
+    AccessControlPayload,
+    CaseCreatePayload,
+    ProvenanceRequestPayload,
+    QueryNodeAssignPayload,
+    StageProposalPayload,
+    StageVotePayload,
     decode_payload,
-    encode_payload,
+    payload_transaction,
 )
 from .provenance import OffchainCaseStore, extract_provenance
 from .registry import BridgeRegistry, StageOutcome
@@ -72,7 +79,6 @@ PHASE_DELIVER = 0
 PHASE_ACTION = 1
 PHASE_MINE = 2
 
-STATUS_PENDING = "pending"
 STATUS_DELIVERED = "delivered"
 STATUS_REJECTED = "rejected"
 STATUS_EXPIRED = "expired"
@@ -237,34 +243,8 @@ class World:
 
     def _do_action(self, a: WorkloadAction, tick: int) -> None:
         self.emit(tick, "action", action=a.action, chain=a.chain, case=a.case, user=a.user)
-        org = self.org[a.chain]
         try:
-            if a.action == ACTION_CREATE_CASE:
-                tx = org.create_case_request(
-                    self._user_key(a.user), a.case, list(a.destinations)
-                )
-                self._submit_local(a.chain, tx, tick)
-            elif a.action == ACTION_DISPATCH_POLICY:
-                if self.scenario.policy is None:
-                    raise ScenarioError("scenario declares no policy to dispatch")
-                tx = org.dispatch_access_policy(
-                    self._user_key(a.user), a.case, self.scenario.policy
-                )
-                self._submit_local(a.chain, tx, tick)
-            elif a.action == ACTION_ASSIGN_QUERY_NODES:
-                keys = [self._user_key(name).public_key for name in a.nodes]
-                tx = org.assign_query_nodes_request(self._user_key(a.user), a.case, keys)
-                self._submit_local(a.chain, tx, tick)
-            elif a.action == ACTION_PROPOSE_STAGE:
-                tx = org.propose_stage_request(self._user_key(a.user), a.case, a.stage)
-                self._submit_local(a.chain, tx, tick)
-            elif a.action == ACTION_ACCESS:
-                self._do_access(a, org, tick)
-            elif a.action == ACTION_REQUEST_PROVENANCE:
-                tx = org.provenance_request_tx(self._user_key(a.user), a.case)
-                self._submit_local(a.chain, tx, tick)
-            else:  # pragma: no cover - loader rejects unknown actions
-                raise ScenarioError(f"unknown action {a.action!r}")
+            self.ACTION_HANDLERS[a.action](self, a, tick)
         except ForensicrossError as exc:
             self.emit(
                 tick, "action_error",
@@ -272,7 +252,56 @@ class World:
                 error=type(exc).__name__, detail=str(exc),
             )
 
-    def _do_access(self, a: WorkloadAction, org: OrgChainState, tick: int) -> None:
+    # Each action handler runs its pre-checks in a fixed order (the first
+    # that fails names the action_error) and then submits its request on the
+    # acting user's chain.
+
+    def _registered_user(self, a: WorkloadAction) -> KeyPair:
+        key = self._user_key(a.user)
+        self.org[a.chain].require_user(key)
+        return key
+
+    def _user_and_case(self, a: WorkloadAction) -> tuple[KeyPair, LocalCase]:
+        key = self._registered_user(a)
+        return key, self.org[a.chain].require_case(a.case)
+
+    def _request(
+        self, a: WorkloadAction, key: KeyPair, payload, tick: int,
+        destinations: tuple[str, ...] = (),
+    ) -> None:
+        self._submit_local(a.chain, payload_transaction(payload, a.chain, key, destinations), tick)
+
+    def _act_create_case(self, a: WorkloadAction, tick: int) -> None:
+        key = self._registered_user(a)
+        if not a.destinations:
+            raise EmptyDestinations(a.case)
+        self._request(a, key, CaseCreatePayload(a.case), tick, a.destinations)
+
+    def _act_dispatch_policy(self, a: WorkloadAction, tick: int) -> None:
+        policy = self.scenario.policy
+        if policy is None:
+            raise ScenarioError("scenario declares no policy to dispatch")
+        key, case = self._user_and_case(a)
+        payload = AccessControlPayload(a.case, policy.canonical_bytes())
+        self._request(a, key, payload, tick, case.destination_chains)
+
+    def _act_assign_query_nodes(self, a: WorkloadAction, tick: int) -> None:
+        nodes = tuple(self._user_key(name).public_key for name in a.nodes)
+        key, _case = self._user_and_case(a)
+        self._request(a, key, QueryNodeAssignPayload(a.case, nodes), tick)
+
+    def _act_propose_stage(self, a: WorkloadAction, tick: int) -> None:
+        key, case = self._user_and_case(a)
+        attempt = case.proposal_attempts.get(a.stage, 0) + 1
+        case.proposal_attempts[a.stage] = attempt
+        self._request(a, key, StageProposalPayload(a.case, a.stage, attempt), tick)
+
+    def _act_request_provenance(self, a: WorkloadAction, tick: int) -> None:
+        key, _case = self._user_and_case(a)
+        self._request(a, key, ProvenanceRequestPayload(a.case, key.public_key), tick)
+
+    def _act_access(self, a: WorkloadAction, tick: int) -> None:
+        org = self.org[a.chain]
         action = Action(a.op) if a.op else Action.READ
         label = a.payload or f"{a.case}:{a.user}:{tick}"
         tx, entry = org.data_access_tx(
@@ -289,6 +318,15 @@ class World:
             op=action.value, stage=entry.stage, decision=entry.decision,
             tx_id=accepted.tx_id,
         )
+
+    ACTION_HANDLERS = {
+        ACTION_CREATE_CASE: _act_create_case,
+        ACTION_DISPATCH_POLICY: _act_dispatch_policy,
+        ACTION_ASSIGN_QUERY_NODES: _act_assign_query_nodes,
+        ACTION_PROPOSE_STAGE: _act_propose_stage,
+        ACTION_REQUEST_PROVENANCE: _act_request_provenance,
+        ACTION_ACCESS: _act_access,
+    }
 
     def _activate_fault(self, fault, tick: int) -> None:
         if fault.kind == FAULT_COMPROMISE:
@@ -553,7 +591,10 @@ class World:
             op = kind.value
             if target_chain == BRIDGE_CHAIN_ID:
                 payload = decode_payload(kind, origin.body)
-                forward = self.BRIDGE_HANDLERS[kind](self, origin, payload, tick)
+                handler = self.BRIDGE_HANDLERS.get(kind)
+                if handler is None:
+                    raise UnexpectedKind(f"the bridge does not handle {op}")
+                forward = handler(self, origin, payload, tick)
             else:
                 self._apply_org(target_chain, origin, tick)
         except (ForensicrossError, DecodeError) as exc:
@@ -573,6 +614,8 @@ class World:
         if report is None or forward:
             return
         report.accepted_ticks[target_chain] = tick
+        if report.status in (STATUS_MALICIOUS, STATUS_REGISTRY_REJECTED):
+            return  # a refusal at another destination is final
         # the bridge delivers whatever it does not forward; otherwise delivery
         # completes when the last destination accepts
         if (
@@ -668,9 +711,8 @@ class World:
             payload = StageProposalPayload(
                 case_number, result.stage, result.round, PHASE_BLOCKED, result.reasons
             )
-        control = make_transaction(
-            PayloadKind.STAGE_PROPOSAL, encode_payload(payload),
-            BRIDGE_CHAIN_ID, targets, self.contract_keys[BRIDGE_CHAIN_ID],
+        control = payload_transaction(
+            payload, BRIDGE_CHAIN_ID, self.contract_keys[BRIDGE_CHAIN_ID], targets
         )
         self._submit_local(BRIDGE_CHAIN_ID, control, tick)
 
@@ -770,10 +812,10 @@ class World:
                 chain=chain_id, case=payload.case_number,
                 stage=payload.stage, round=payload.round, vote=vote,
             )
-            vote_tx = org.stage_vote_tx(
-                self.contract_keys[chain_id], payload.case_number,
-                payload.stage, payload.round, vote, reason,
+            ballot = StageVotePayload(
+                payload.case_number, payload.stage, payload.round, vote, reason
             )
+            vote_tx = payload_transaction(ballot, chain_id, self.contract_keys[chain_id])
             self._submit_local(chain_id, vote_tx, tick)
         elif payload.phase == PHASE_ADVANCED:
             try:
@@ -817,6 +859,14 @@ class World:
 def run_scenario(scenario: Scenario) -> World:
     """Build the world, drain the workload, and return the final state."""
     return World(scenario).run()
+
+
+def route_transaction(tx: Transaction, world: World) -> DeliveryReport:
+    """Submit `tx` on its source chain and drive the world until the routing
+    pipeline resolves; returns the delivery report for it."""
+    accepted = world.inject_transaction(tx)
+    world.run()
+    return world.reports[accepted.tx_id]
 
 
 # -- artifact writers -------------------------------------------------------------

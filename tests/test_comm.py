@@ -16,13 +16,19 @@ from forensicross.comm import (
     VerificationContract,
     VerifyStatus,
     canonical_translation,
-    route_transaction,
     translate,
     verify_translations,
 )
 from forensicross.crypto import KeyPair, sign
 from forensicross.scenario import FAULT_COMPROMISE, FaultSpec, RULE_EQUIVOCATE
-from forensicross.sim import BRIDGE_CHAIN_ID, World, flip_last_byte, make_comparison_scenario
+from forensicross.payloads import CaseCreatePayload, payload_transaction
+from forensicross.sim import (
+    BRIDGE_CHAIN_ID,
+    World,
+    flip_last_byte,
+    make_comparison_scenario,
+    route_transaction,
+)
 from forensicross.topology import Design
 from oracles import majority_status
 
@@ -152,7 +158,7 @@ def _world(k: int = 2, design: Design = Design.BRIDGE, faults=(), n_i: int = 3) 
 
 def _case_tx(world: World) -> Transaction:
     user_key = world.users["creator"][1]
-    return world.org["A"].create_case_request(user_key, "C-9", ["B"])
+    return payload_transaction(CaseCreatePayload("C-9"), "A", user_key, ("B",))
 
 
 def test_route_honest_single_destination_has_two_verification_events():

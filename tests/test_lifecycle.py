@@ -5,7 +5,7 @@ import pytest
 
 from forensicross.chain import PayloadKind
 from forensicross.crypto import KeyPair, hash_bytes
-from forensicross.errors import EmptyDestinations, MalformedPolicy, UnknownCase, UnknownUser
+from forensicross.errors import MalformedPolicy, UnknownCase
 from forensicross.lifecycle import (
     ALLOWED,
     DENIED,
@@ -43,22 +43,6 @@ def default_policy() -> AccessPolicy:
             ("analyst", 3): {Action.READ},
         },
     )
-
-
-def test_create_case_request_shape():
-    org = org_with_user()
-    tx = org.create_case_request(USER, "C-7", ["B"])
-    assert tx.payload_kind is PayloadKind.CASE_CREATE
-    assert tx.destination_chains == ("B",)
-    assert tx.sender_public_key == USER.public_key
-
-
-def test_create_case_requires_destinations_and_registration():
-    org = org_with_user()
-    with pytest.raises(EmptyDestinations):
-        org.create_case_request(USER, "C-7", [])
-    with pytest.raises(UnknownUser):
-        org.create_case_request(KeyPair.derive("stranger"), "C-7", ["B"])
 
 
 def test_malformed_policy_rejected():

@@ -15,8 +15,10 @@ from hypothesis import strategies as st
 from conftest import transactions
 from forensicross.canonical import DecodeError, enc_bytes, enc_int, enc_str, enc_str_list
 from forensicross.chain import PayloadKind, Transaction
+from forensicross.crypto import KeyPair, verify
 from forensicross.lifecycle import AccessPolicy, Action
 from forensicross.payloads import (
+    PAYLOAD_KINDS,
     PHASE_BLOCKED,
     VOTE_REJECT,
     AccessControlPayload,
@@ -28,6 +30,7 @@ from forensicross.payloads import (
     StageVotePayload,
     decode_payload,
     encode_payload,
+    payload_transaction,
 )
 
 PAYLOAD_CLASSES = {
@@ -87,19 +90,33 @@ PINNED = [
 ]
 
 
-def _kind_of(payload) -> PayloadKind:
-    return next(k for k, cls in PAYLOAD_CLASSES.items() if isinstance(payload, cls))
+def test_each_payload_class_has_its_own_kind():
+    assert PAYLOAD_KINDS == {cls: kind for kind, cls in PAYLOAD_CLASSES.items()}
 
 
 @pytest.mark.parametrize("payload,expected_hex", PINNED, ids=lambda v: type(v).__name__)
 def test_payload_canonical_bytes_are_pinned(payload, expected_hex):
     data = encode_payload(payload)
     assert data.hex() == expected_hex
-    assert decode_payload(_kind_of(payload), data) == payload
+    assert decode_payload(PAYLOAD_KINDS[type(payload)], data) == payload
 
 
 def test_pinned_samples_cover_every_payload_kind():
-    assert {_kind_of(p) for p, _ in PINNED} == set(PAYLOAD_CLASSES)
+    assert {PAYLOAD_KINDS[type(p)] for p, _ in PINNED} == set(PAYLOAD_CLASSES)
+
+
+@pytest.mark.parametrize("payload", [p for p, _ in PINNED], ids=lambda v: type(v).__name__)
+@pytest.mark.parametrize("destinations", [(), ("B", "C")], ids=["local", "cross-chain"])
+def test_payload_transaction_signs_the_payload_as_its_kind(payload, destinations):
+    key = KeyPair.derive("payload-sender")
+    tx = payload_transaction(payload, "A", key, destinations)
+    assert tx.payload_kind is PAYLOAD_KINDS[type(payload)]
+    assert decode_payload(tx.payload_kind, tx.body) == payload
+    assert tx.source_chain == "A"
+    assert tx.destination_chains == destinations
+    assert tx.sender_public_key == key.public_key
+    assert tx.tx_id == ""  # assigned at submission
+    assert verify(tx.signing_bytes(), tx.signature, key.public_key)
 
 
 _FIELD_STRATEGIES = {
@@ -122,7 +139,7 @@ payloads = st.one_of(*(_payload_strategy(cls) for cls in PAYLOAD_CLASSES.values(
 @settings(max_examples=300, deadline=None)
 @given(payloads)
 def test_every_payload_kind_round_trips(payload):
-    assert decode_payload(_kind_of(payload), encode_payload(payload)) == payload
+    assert decode_payload(PAYLOAD_KINDS[type(payload)], encode_payload(payload)) == payload
 
 
 @settings(max_examples=500, deadline=None)
@@ -137,7 +154,7 @@ def test_arbitrary_bytes_raise_only_decode_error(kind, data):
 @settings(max_examples=300, deadline=None)
 @given(payloads, st.data())
 def test_truncated_or_extended_encodings_raise_decode_error(payload, data):
-    kind = _kind_of(payload)
+    kind = PAYLOAD_KINDS[type(payload)]
     encoded = encode_payload(payload)
     cut = data.draw(st.integers(min_value=0, max_value=len(encoded) - 1))
     with pytest.raises(DecodeError):

@@ -69,6 +69,14 @@ def test_record_stage_hash_rejects_non_participant_and_future_stage():
         registry.record_stage_hash("C-9", "A", 0, hash_bytes(b"x"))
 
 
+def test_record_stage_hash_on_a_closed_case_is_stale():
+    registry = BridgeRegistry(stage_count=2)
+    registry.register_case("C-1", "A", ("B",), CREATOR)
+    registry.require_case("C-1").current_stage = 2  # both stages advanced
+    with pytest.raises(StaleStage):
+        registry.record_stage_hash("C-1", "A", 2, hash_bytes(b"x"))
+
+
 def test_stage_hash_replay_reproduces_identical_leaves():
     arrivals = [("A", 0, hash_bytes(bytes([i]))) for i in range(6)]
     leaves = []

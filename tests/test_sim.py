@@ -5,13 +5,16 @@ from types import SimpleNamespace
 import pytest
 import yaml
 
-from forensicross.canonical import enc_int, enc_str, enc_str_list
+from forensicross.canonical import DecodeError, enc_int, enc_str, enc_str_list
 from forensicross.chain import PayloadKind, make_transaction, validate_chain
 from forensicross.comm import DeliveryReport
 from forensicross.errors import InvalidTopology, ScenarioError
 from forensicross.payloads import (
+    PAYLOAD_KINDS,
     PAYLOAD_TYPES,
     AccessControlPayload,
+    CaseCreatePayload,
+    DataAccessLogPayload,
     decode_payload,
     encode_payload,
 )
@@ -21,6 +24,7 @@ from forensicross.scenario import (
     FaultSpec,
     RULE_DROP,
     RULE_EQUIVOCATE,
+    WORKLOAD_ACTIONS,
     load_scenario,
     scenario_from_dict,
 )
@@ -347,7 +351,10 @@ def test_payload_tables_cover_every_kind():
         PayloadKind.CASE_CREATE, PayloadKind.ACCESS_CONTROL, PayloadKind.STAGE_PROPOSAL,
     }
     assert set(PAYLOAD_TYPES) == set(PayloadKind) - {PayloadKind.INTERCHAIN_ENVELOPE}
-    with pytest.raises(ValueError, match="no payload decoder"):
+    assert PAYLOAD_KINDS == {cls: kind for kind, cls in PAYLOAD_TYPES.items()}
+    assert len(PAYLOAD_KINDS) == len(PAYLOAD_TYPES)  # no class serves two kinds
+    assert set(World.ACTION_HANDLERS) == WORKLOAD_ACTIONS
+    with pytest.raises(DecodeError, match="no payload decoder"):
         decode_payload(PayloadKind.INTERCHAIN_ENVELOPE, b"")
 
 
@@ -391,3 +398,51 @@ def test_undecodable_validated_body_is_a_registry_error(scenario_dir, scenario, 
     assert world.events[-1]["error"] == "DecodeError"
     assert world.reports["forged"].status == "registry-rejected"
     assert world.chains[target].pending_pool == []  # nothing recorded
+
+
+@pytest.mark.parametrize("refusal", ["registry-rejected", "validated-malicious"])
+def test_a_refusal_at_one_destination_is_final(scenario_dir, refusal):
+    world = World(load_scenario(scenario_dir / "mesh_small.yaml"))
+    _spec, key = world.users["alice"]
+    origin = make_transaction(
+        PayloadKind.CASE_CREATE, encode_payload(CaseCreatePayload("M-9")), "A", ("B", "C"), key
+    )
+    world.reports["forged"] = DeliveryReport("forged", "CaseCreate", "A", ("B", "C"))
+    if refusal == "validated-malicious":
+        world._honest_bodies["forged"] = origin.canonical_bytes()
+    world._on_validated("B", SimpleNamespace(origin_tx_id="forged", winning_body=b"junk"), 3)
+    assert world.reports["forged"].status == refusal
+    world._honest_bodies["forged"] = origin.canonical_bytes()
+    world._on_validated(
+        "C", SimpleNamespace(origin_tx_id="forged", winning_body=origin.canonical_bytes()), 4
+    )
+    assert world.reports["forged"].status == refusal
+    assert world.reports["forged"].accepted_ticks == {"B": 3, "C": 4}
+
+
+@pytest.mark.parametrize("kind,body", [
+    (PayloadKind.INTERCHAIN_ENVELOPE, b""),
+    (PayloadKind.DATA_ACCESS_LOG, encode_payload(
+        DataAccessLogPayload("C-7", b"\x11", "auditor", "read", 0, "Denied", b"\x22")
+    )),
+], ids=["envelope-origin", "data-access-log-origin"])
+def test_an_origin_the_bridge_has_no_handler_for_is_a_registry_error(scenario_dir, kind, body):
+    world = World(load_scenario(scenario_dir / "bridge_small.yaml"))
+    spec, key = next(iter(world.users.values()))
+    origin = make_transaction(kind, body, spec.chain, (), key)
+    world.reports["forged"] = DeliveryReport("forged", kind.value, spec.chain, ())
+    entry = SimpleNamespace(origin_tx_id="forged", winning_body=origin.canonical_bytes())
+    world._on_validated(BRIDGE_CHAIN_ID, entry, tick=3)
+    assert world.events[-1]["event"] == "registry_error"
+    assert world.events[-1]["op"] == kind.value
+    assert world.reports["forged"].status == "registry-rejected"
+    assert world.chains[BRIDGE_CHAIN_ID].pending_pool == []
+
+
+def test_a_stage_hash_for_a_closed_case_is_a_registry_error(scenario_dir):
+    world = run_scenario(load_scenario(scenario_dir / "bridge_small.yaml"))
+    case = world.registry.require_case("C-7")
+    case.current_stage = case.stage_count  # every stage advanced: closed
+    world._deliver_stage_hash("C-7", "A", case.stage_count, b"\x00" * 32, tick=99)
+    assert world.events[-1]["event"] == "registry_error"
+    assert world.events[-1]["error"] == "StaleStage"
