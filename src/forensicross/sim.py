@@ -39,7 +39,7 @@ from .errors import (
     UnknownCase,
     UnknownUser,
 )
-from .lifecycle import Action, AccessPolicy, LocalCase, OrgChainState
+from .lifecycle import Action, AccessPolicy, OrgChainState
 from .payloads import (
     PHASE_ADVANCED,
     PHASE_BLOCKED,
@@ -261,44 +261,43 @@ class World:
         self.org[a.chain].require_user(key)
         return key
 
-    def _user_and_case(self, a: WorkloadAction) -> tuple[KeyPair, LocalCase]:
-        key = self._registered_user(a)
-        return key, self.org[a.chain].require_case(a.case)
-
-    def _request(
-        self, a: WorkloadAction, key: KeyPair, payload, tick: int,
-        destinations: tuple[str, ...] = (),
-    ) -> None:
-        self._submit_local(a.chain, payload_transaction(payload, a.chain, key, destinations), tick)
-
     def _act_create_case(self, a: WorkloadAction, tick: int) -> None:
         key = self._registered_user(a)
         if not a.destinations:
             raise EmptyDestinations(a.case)
-        self._request(a, key, CaseCreatePayload(a.case), tick, a.destinations)
+        tx = payload_transaction(CaseCreatePayload(a.case), a.chain, key, a.destinations)
+        self._submit_local(a.chain, tx, tick)
 
     def _act_dispatch_policy(self, a: WorkloadAction, tick: int) -> None:
         policy = self.scenario.policy
         if policy is None:
             raise ScenarioError("scenario declares no policy to dispatch")
-        key, case = self._user_and_case(a)
+        key = self._registered_user(a)
+        case = self.org[a.chain].require_case(a.case)
         payload = AccessControlPayload(a.case, policy.canonical_bytes())
-        self._request(a, key, payload, tick, case.destination_chains)
+        tx = payload_transaction(payload, a.chain, key, case.destination_chains)
+        self._submit_local(a.chain, tx, tick)
 
     def _act_assign_query_nodes(self, a: WorkloadAction, tick: int) -> None:
         nodes = tuple(self._user_key(name).public_key for name in a.nodes)
-        key, _case = self._user_and_case(a)
-        self._request(a, key, QueryNodeAssignPayload(a.case, nodes), tick)
+        key = self._registered_user(a)
+        self.org[a.chain].require_case(a.case)
+        tx = payload_transaction(QueryNodeAssignPayload(a.case, nodes), a.chain, key)
+        self._submit_local(a.chain, tx, tick)
 
     def _act_propose_stage(self, a: WorkloadAction, tick: int) -> None:
-        key, case = self._user_and_case(a)
+        key = self._registered_user(a)
+        case = self.org[a.chain].require_case(a.case)
         attempt = case.proposal_attempts.get(a.stage, 0) + 1
         case.proposal_attempts[a.stage] = attempt
-        self._request(a, key, StageProposalPayload(a.case, a.stage, attempt), tick)
+        tx = payload_transaction(StageProposalPayload(a.case, a.stage, attempt), a.chain, key)
+        self._submit_local(a.chain, tx, tick)
 
     def _act_request_provenance(self, a: WorkloadAction, tick: int) -> None:
-        key, _case = self._user_and_case(a)
-        self._request(a, key, ProvenanceRequestPayload(a.case, key.public_key), tick)
+        key = self._registered_user(a)
+        self.org[a.chain].require_case(a.case)
+        tx = payload_transaction(ProvenanceRequestPayload(a.case, key.public_key), a.chain, key)
+        self._submit_local(a.chain, tx, tick)
 
     def _act_access(self, a: WorkloadAction, tick: int) -> None:
         org = self.org[a.chain]
