@@ -17,6 +17,7 @@ from forensicross.payloads import (
     DataAccessLogPayload,
     decode_payload,
     encode_payload,
+    payload_transaction,
 )
 from forensicross.scenario import (
     FAULT_COMPROMISE,
@@ -281,7 +282,14 @@ def test_block_time_slows_but_preserves_delivery():
 # tick after its own workload. Each action runs its pre-checks in a fixed
 # order, so the first one that fails names the error: the scenario policy,
 # then the query-node keys, the registered user, the destinations and
-# last the case. Only the C-404 row of the error golden pinned one of these.
+# last the case. The error golden pins only the C-404 row.
+CASE_ACTIONS = [
+    ("dispatch-policy", {}),
+    ("assign-query-nodes", {"nodes": ["querya"]}),
+    ("propose-stage", {"stage": 1}),
+    ("request-provenance", {}),
+    ("access", {"op": "read"}),
+]
 ACTION_ERROR_ROWS = {
     "create-case-no-destinations": (
         {"action": "create-case", "user": "alice", "case": "C-8"},
@@ -304,26 +312,14 @@ ACTION_ERROR_ROWS = {
             {"action": action, "user": "alice", "case": "C-404", **extra},
             ("UnknownCase", "C-404 unknown on A"),
         )
-        for action, extra in [
-            ("dispatch-policy", {}),
-            ("assign-query-nodes", {"nodes": ["querya"]}),
-            ("propose-stage", {"stage": 1}),
-            ("request-provenance", {}),
-            ("access", {"op": "read"}),
-        ]
+        for action, extra in CASE_ACTIONS
     },
     **{
         f"{action}-foreign-user-unknown-case": (
             {"action": action, "user": "bob", "case": "C-404", **extra},
             ("UnknownUser", "user not registered on A"),
         )
-        for action, extra in [
-            ("dispatch-policy", {}),
-            ("assign-query-nodes", {"nodes": ["querya"]}),
-            ("propose-stage", {"stage": 1}),
-            ("request-provenance", {}),
-            ("access", {"op": "read"}),
-        ]
+        for action, extra in CASE_ACTIONS
     },
 }
 
@@ -404,9 +400,7 @@ def test_undecodable_validated_body_is_a_registry_error(scenario_dir, scenario, 
 def test_a_refusal_at_one_destination_is_final(scenario_dir, refusal):
     world = World(load_scenario(scenario_dir / "mesh_small.yaml"))
     _spec, key = world.users["alice"]
-    origin = make_transaction(
-        PayloadKind.CASE_CREATE, encode_payload(CaseCreatePayload("M-9")), "A", ("B", "C"), key
-    )
+    origin = payload_transaction(CaseCreatePayload("M-9"), "A", key, ("B", "C"))
     world.reports["forged"] = DeliveryReport("forged", "CaseCreate", "A", ("B", "C"))
     if refusal == "validated-malicious":
         world._honest_bodies["forged"] = origin.canonical_bytes()
