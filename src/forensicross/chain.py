@@ -53,6 +53,17 @@ class UnauthorizedValidator(Exception):
     pass
 
 
+def _signing_bytes(
+    kind: PayloadKind, body: bytes, source_chain: str, destinations: tuple[str, ...]
+) -> bytes:
+    return (
+        enc_str(kind.value)
+        + enc_bytes(body)
+        + enc_str(source_chain)
+        + enc_str_list(destinations)
+    )
+
+
 @dataclass(frozen=True)
 class Transaction:
     """Signed record routed between chains.
@@ -70,11 +81,8 @@ class Transaction:
     signature: bytes
 
     def signing_bytes(self) -> bytes:
-        return (
-            enc_str(self.payload_kind.value)
-            + enc_bytes(self.body)
-            + enc_str(self.source_chain)
-            + enc_str_list(self.destination_chains)
+        return _signing_bytes(
+            self.payload_kind, self.body, self.source_chain, self.destination_chains
         )
 
     def canonical_bytes(self) -> bytes:
@@ -128,16 +136,29 @@ def make_transaction(
     key: KeyPair,
 ) -> Transaction:
     """Build and sign a transaction; tx_id stays empty until submission."""
-    tx = Transaction(
+    destinations = tuple(destinations)
+    return Transaction(
         tx_id="",
         sender_public_key=key.public_key,
         payload_kind=kind,
         body=body,
         source_chain=source_chain,
-        destination_chains=tuple(destinations),
-        signature=b"",
+        destination_chains=destinations,
+        signature=sign(_signing_bytes(kind, body, source_chain, destinations), key),
     )
-    return replace(tx, signature=sign(tx.signing_bytes(), key))
+
+
+def _header_bytes(
+    height: int, prev_hash: Digest, tx_merkle_root: Digest, timestamp: int,
+    validator_public_key: bytes,
+) -> bytes:
+    return (
+        enc_int(height)
+        + enc_bytes(prev_hash)
+        + enc_bytes(tx_merkle_root)
+        + enc_int(timestamp)
+        + enc_bytes(validator_public_key)
+    )
 
 
 @dataclass(frozen=True)
@@ -151,18 +172,17 @@ class Block:
     timestamp: int
 
     def header_bytes(self) -> bytes:
-        return (
-            enc_int(self.height)
-            + enc_bytes(self.prev_hash)
-            + enc_bytes(self.tx_merkle_root)
-            + enc_int(self.timestamp)
-            + enc_bytes(self.validator_public_key)
+        """The signed header; the signature itself is not part of it."""
+        return _header_bytes(
+            self.height, self.prev_hash, self.tx_merkle_root, self.timestamp,
+            self.validator_public_key,
         )
 
     def header_digest(self) -> Digest:
         """SHA-256 of `header_bytes()`, memoized per object, as
         `Transaction.digest` is and for the same reasons: a block is frozen,
-        and a changed block is a new object."""
+        and a changed block is a new object. `Chain.mine_block` seeds the
+        memo with the digest its validator signed."""
         return self._header_digest
 
     @cached_property
@@ -174,9 +194,11 @@ class Block:
 
 
 def tx_root(transactions: tuple[Transaction, ...] | list[Transaction]) -> Digest:
-    if not transactions:
-        return EMPTY_BLOCK_MARKER
-    return merkle_root([tx.digest() for tx in transactions])
+    return _digest_root([tx.digest() for tx in transactions])
+
+
+def _digest_root(digests: list[Digest]) -> Digest:
+    return merkle_root(digests) if digests else EMPTY_BLOCK_MARKER
 
 
 @dataclass
@@ -236,35 +258,49 @@ class Chain:
         which must be the authority `expected_validator` schedules for it."""
         if validator.public_key != self.expected_validator(len(self.blocks)):
             raise UnauthorizedValidator(self.chain_id)
+        height = len(self.blocks)
         ts = self.clock if timestamp is None else timestamp
         prev = self.blocks[-1].header_digest() if self.blocks else ZERO_DIGEST
         txs = tuple(self.pending_pool)
+        root = tx_root(txs)
+        digest = hash_bytes(_header_bytes(height, prev, root, ts, validator.public_key))
         block = Block(
-            height=len(self.blocks),
+            height=height,
             prev_hash=prev,
-            tx_merkle_root=tx_root(txs),
+            tx_merkle_root=root,
             transactions=txs,
             validator_public_key=validator.public_key,
-            validator_signature=b"",
+            validator_signature=sign(digest, validator),
             timestamp=ts,
         )
-        block = replace(block, validator_signature=sign(block.header_digest(), validator))
+        # the signature is outside the header, so the digest it signs is the
+        # sealed block's header digest: seed the memo instead of hashing again
+        block.__dict__["_header_digest"] = digest
         self.blocks.append(block)
         self.pending_pool = []
         return block
 
 
 def validate_chain(chain: Chain) -> ChainFault | None:
-    """None when intact, else the lowest height whose linkage, Merkle root,
-    validator (in the authority set and on the round-robin schedule) or
-    validator signature fails."""
+    """None when intact, else the lowest height whose linkage, transaction
+    set (no digest twice), Merkle root, validator (in the authority set and
+    on the round-robin schedule) or validator signature fails.
+
+    `submit_transaction` never admits a tx_id twice, so a repeated digest
+    is tampering. The check closes the duplicate-last ambiguity of
+    `MerkleTree`: an odd-width block and its copy that repeats the last
+    transaction share a root.
+    """
     prev_digest = ZERO_DIGEST
     for i, block in enumerate(chain.blocks):
         if block.height != i:
             return ChainFault(i, "height mismatch")
         if block.prev_hash != prev_digest:
             return ChainFault(i, "broken linkage")
-        if tx_root(block.transactions) != block.tx_merkle_root:
+        digests = [tx.digest() for tx in block.transactions]
+        if len(set(digests)) != len(digests):
+            return ChainFault(i, "duplicate transaction")
+        if _digest_root(digests) != block.tx_merkle_root:
             return ChainFault(i, "tx merkle root mismatch")
         if block.validator_public_key not in chain.authority_set:
             return ChainFault(i, "validator not in authority set")

@@ -11,7 +11,7 @@ threshold the entry is rejected.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .canonical import enc_bytes, enc_str, enc_str_list
@@ -57,6 +57,39 @@ def canonical_translation(tx: Transaction) -> bytes:
 
 
 @dataclass(frozen=True)
+class HopOrigin:
+    """What every translator of one routed hop shares: the origin's
+    identity (the ledger key at the receiving contract) and the honest
+    body, `canonical_translation` of the routed record."""
+
+    tx_id: str
+    chain: str
+    body: bytes
+
+
+def hop_origin(tx: Transaction) -> HopOrigin:
+    """The origin `tx` routes: itself, or the origin embedded in a forwarded
+    envelope record, which keeps its identity on the second hop."""
+    if tx.payload_kind is PayloadKind.INTERCHAIN_ENVELOPE:
+        embedded = Transaction.from_canonical(tx.body)
+        return HopOrigin(embedded.tx_id, embedded.source_chain, tx.body)
+    return HopOrigin(tx.tx_id, tx.source_chain, canonical_translation(tx))
+
+
+def _attested_bytes(
+    origin_tx_id: str, origin_chain: str, destinations: tuple[str, ...],
+    body: bytes, node: str,
+) -> bytes:
+    return (
+        enc_str(origin_tx_id)
+        + enc_str(origin_chain)
+        + enc_str_list(destinations)
+        + enc_bytes(body)
+        + enc_str(node)
+    )
+
+
+@dataclass(frozen=True)
 class TranslatedEnvelope:
     origin_tx_id: str
     origin_chain: str
@@ -66,12 +99,9 @@ class TranslatedEnvelope:
     translator_signature: bytes
 
     def attested_bytes(self) -> bytes:
-        return (
-            enc_str(self.origin_tx_id)
-            + enc_str(self.origin_chain)
-            + enc_str_list(self.destination_chains)
-            + enc_bytes(self.canonical_body)
-            + enc_str(self.translator_node)
+        return _attested_bytes(
+            self.origin_tx_id, self.origin_chain, self.destination_chains,
+            self.canonical_body, self.translator_node,
         )
 
 
@@ -81,34 +111,32 @@ def translate(
     mutual_set: MutualNodeSet,
     node_key: KeyPair,
     corrupt: "callable | None" = None,
+    origin: HopOrigin | None = None,
 ) -> TranslatedEnvelope:
     """One mutual node's rendering of `tx` into the standard format.
 
     Forwarded envelopes keep the embedded origin transaction's identity, so
     both verification hops of one routed transaction share a ledger key.
     `corrupt` is the fault-injection hook: a function over the honest body,
-    applied only for compromised nodes.
+    applied only for compromised nodes. `origin` is `hop_origin(tx)`,
+    which the caller passes when it translates one hop on many nodes.
     """
     if node not in mutual_set.members:
         raise NotMutualNode(f"{node} is not in the mutual set of {mutual_set.chain_id}")
-    if tx.payload_kind is PayloadKind.INTERCHAIN_ENVELOPE:
-        embedded = Transaction.from_canonical(tx.body)
-        origin_tx_id, origin_chain = embedded.tx_id, embedded.source_chain
-    else:
-        origin_tx_id, origin_chain = tx.tx_id, tx.source_chain
-    body = canonical_translation(tx)
-    if corrupt is not None:
-        body = corrupt(body)
-    envelope = TranslatedEnvelope(
-        origin_tx_id=origin_tx_id,
-        origin_chain=origin_chain,
-        destination_chains=tx.destination_chains,
+    if origin is None:
+        origin = hop_origin(tx)
+    body = origin.body if corrupt is None else corrupt(origin.body)
+    destinations = tx.destination_chains
+    signature = sign(
+        _attested_bytes(origin.tx_id, origin.chain, destinations, body, node), node_key
+    )
+    return TranslatedEnvelope(
+        origin_tx_id=origin.tx_id,
+        origin_chain=origin.chain,
+        destination_chains=destinations,
         canonical_body=body,
         translator_node=node,
-        translator_signature=b"",
-    )
-    return replace(
-        envelope, translator_signature=sign(envelope.attested_bytes(), node_key)
+        translator_signature=signature,
     )
 
 

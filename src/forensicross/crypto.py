@@ -110,6 +110,13 @@ class MerkleTree:
 
     levels[0] is the leaf list; each next level pairs adjacent nodes as
     hash(left || right), duplicating the last node when a level is odd.
+
+    The duplication makes the root ambiguous: leaves (a, b, c) and
+    (a, b, c, c) share one root (the CVE-2012-2459 pattern), so
+    `validate_chain` refuses a block that repeats a transaction. RFC 6962
+    §2.1 closes the ambiguity in the construction itself, with
+    domain-separated leaf and node hashes and no duplication, but adopting
+    it would change every block hash and every pinned golden hash.
     """
 
     def __init__(self, leaves: list[Digest]):

@@ -21,10 +21,11 @@ from .chain import Chain, PayloadKind, SubmitError, Transaction, make_transactio
 from .comm import (
     DeliveryReport,
     Hop,
+    HopOrigin,
     MutualNodeSet,
     VerificationContract,
     VerifyStatus,
-    canonical_translation,
+    hop_origin,
     translate,
 )
 from .crypto import KeyPair, hash_bytes
@@ -414,7 +415,7 @@ class World:
                     continue
                 # a cross-chain record also updates the source's own replica;
                 # a user's stage proposal has none, so it casts no self-vote
-                if tx.destination_chains:
+                if tx.destination_chains and kind in self.ORG_HANDLERS:
                     self._apply_org(chain_id, tx, tick)
             self._start_routing(tx, chain_id, tick)
 
@@ -436,8 +437,9 @@ class World:
 
     def _send_translations(
         self, tx: Transaction, mset: MutualNodeSet, target_chain: str,
-        origin_id: str, tick: int,
+        origin: HopOrigin, tick: int,
     ) -> None:
+        origin_id = origin.tx_id
         latency = self.scenario.link_latency
         sent = 0
         for node in mset.members:
@@ -446,7 +448,7 @@ class World:
                 self.emit(tick, "envelope_dropped", origin_tx=origin_id, node=node)
                 continue
             corrupt = flip_last_byte if rule == RULE_EQUIVOCATE else None
-            envelope = translate(tx, node, mset, self.keys[node], corrupt)
+            envelope = translate(tx, node, mset, self.keys[node], corrupt, origin)
             sent += 1
             self.emit(
                 tick, "envelope_sent",
@@ -480,20 +482,19 @@ class World:
             ]
         if not hops:
             return
-        if tx.payload_kind is PayloadKind.INTERCHAIN_ENVELOPE:
-            # the bridge's record of a validated origin forwards that origin
-            origin_id = Transaction.from_canonical(tx.body).tx_id
-        else:
-            # anything else, bridge control traffic included, is its own origin
-            origin_id = tx.tx_id
-            self.reports[origin_id] = DeliveryReport(
-                tx_id=origin_id, kind=tx.payload_kind.value, origin_chain=chain_id,
+        # the bridge's record of a validated origin forwards that origin;
+        # anything else, bridge control traffic included, is its own origin.
+        # Every translator of the hop shares its identity and honest body.
+        origin = hop_origin(tx)
+        if tx.payload_kind is not PayloadKind.INTERCHAIN_ENVELOPE:
+            self.reports[origin.tx_id] = DeliveryReport(
+                tx_id=origin.tx_id, kind=tx.payload_kind.value, origin_chain=chain_id,
                 destinations=tx.destination_chains, mutual_receipt_tick=tick,
                 hops=[Hop("mutual-receipt", chain_id, tick, 0, "ok")],
             )
-            self._honest_bodies[origin_id] = canonical_translation(tx)
+            self._honest_bodies[origin.tx_id] = origin.body
         for mset, target_chain in hops:
-            self._send_translations(tx, mset, target_chain, origin_id, tick)
+            self._send_translations(tx, mset, target_chain, origin, tick)
 
     def _deliver_envelope(self, target_chain: str, envelope, expected: int, tick: int) -> None:
         self.envelopes_delivered += 1
@@ -563,8 +564,9 @@ class World:
         """Apply a majority-validated origin at `target_chain`: the bridge
         runs its registry handler, an organization chain its replica
         handler; both then record the winning body on their own chain. A
-        body that does not decode, or that the registry or the replica
-        refuses, becomes a `registry_error` event and is not recorded."""
+        body that does not decode, whose kind the receiving side has no
+        handler for, or that the registry or the replica refuses, becomes a
+        `registry_error` event and is not recorded."""
         origin_id = entry.origin_tx_id
         honest_body = self._honest_bodies.get(origin_id)
         is_honest = entry.winning_body == honest_body if honest_body is not None else None
@@ -771,8 +773,9 @@ class World:
 
     def _apply_org(self, chain_id: str, tx: Transaction, tick: int) -> None:
         handler = self.ORG_HANDLERS.get(tx.payload_kind)
-        if handler is not None:
-            handler(self, chain_id, tx, decode_payload(tx.payload_kind, tx.body), tick)
+        if handler is None:
+            raise UnexpectedKind(f"chain {chain_id} does not handle {tx.payload_kind.value}")
+        handler(self, chain_id, tx, decode_payload(tx.payload_kind, tx.body), tick)
 
     def _org_case_create(self, chain_id: str, tx: Transaction, payload, tick: int) -> None:
         self.org[chain_id].apply_case_create(

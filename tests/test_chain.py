@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import build_random_chain, mutate_block_somewhere, transactions
+from forensicross import chain as chain_module
 from forensicross.chain import (
     Block,
     Chain,
@@ -19,9 +20,12 @@ from forensicross.chain import (
     UnauthorizedValidator,
     dump_chain,
     make_transaction,
+    tx_root,
     validate_chain,
 )
-from forensicross.crypto import KeyPair, ZERO_DIGEST, sign
+from forensicross.crypto import KeyPair, ZERO_DIGEST, hash_bytes, sign
+from forensicross.scenario import BRIDGE_CHAIN_ID, load_scenario
+from forensicross.sim import run_scenario
 from oracles import recursive_merkle_root, sha
 
 
@@ -136,6 +140,57 @@ def test_validate_hashes_each_block_header_once(monkeypatch):
     monkeypatch.setattr(Block, "header_digest", counting_digest)
     assert validate_chain(chain) is None
     assert calls[0] == len(chain.blocks)
+
+
+def test_validate_reads_each_transaction_digest_once(monkeypatch):
+    chain, _validators = build_random_chain(random.Random(8), blocks=8)
+    calls = [0]
+    real_digest = Transaction.digest
+
+    def counting_digest(tx):
+        calls[0] += 1
+        return real_digest(tx)
+
+    monkeypatch.setattr(Transaction, "digest", counting_digest)
+    assert validate_chain(chain) is None
+    assert calls[0] == sum(len(b.transactions) for b in chain.blocks)
+
+
+def test_mine_block_hashes_the_header_once(monkeypatch):
+    chain, validators, _user = fresh_chain()
+    calls = [0]
+
+    def counting_hash(data):
+        calls[0] += 1
+        return hash_bytes(data)
+
+    monkeypatch.setattr(chain_module, "hash_bytes", counting_hash)
+    block = chain.mine_block(validators[0])  # empty: no Merkle hashing
+    assert block.header_digest() == hash_bytes(block.header_bytes())
+    assert calls[0] == 1
+
+
+def test_every_mined_header_digest_is_the_hash_of_its_header_bytes(scenario_dir):
+    world = run_scenario(load_scenario(scenario_dir / "lifecycle_full.yaml"))
+    blocks = [b for c in world.chains.values() for b in c.blocks]
+    assert blocks
+    for block in blocks:
+        assert "_header_digest" in vars(block)  # carried over from mining
+        assert block.header_digest() == hash_bytes(block.header_bytes())
+
+
+def test_validate_reports_a_block_that_repeats_its_last_transaction(scenario_dir):
+    world = run_scenario(load_scenario(scenario_dir / "lifecycle_full.yaml"))
+    chain = world.chains[BRIDGE_CHAIN_ID]
+    height, block = next(
+        (i, b) for i, b in enumerate(chain.blocks)
+        if len(b.transactions) >= 3 and len(b.transactions) % 2 == 1
+    )
+    padded = block.transactions + block.transactions[-1:]
+    # duplicate-last padding: the repeated copy has the header's root
+    assert tx_root(padded) == block.tx_merkle_root
+    chain.blocks[height] = replace(block, transactions=padded)
+    assert validate_chain(chain) == ChainFault(height, "duplicate transaction")
 
 
 def test_validate_localizes_mutated_tx():

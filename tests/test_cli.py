@@ -1,7 +1,12 @@
 import csv
 import json
 
-from forensicross.cli import main
+import pytest
+import yaml
+
+from forensicross.cli import EXIT_VALIDATION, main
+from forensicross.errors import ScenarioError
+from forensicross.scenario import scenario_from_dict
 
 LIFECYCLE = "lifecycle_full.yaml"
 TAMPER = "tamper_demo.yaml"
@@ -43,6 +48,22 @@ def test_run_parse_error_reports_line(tmp_path, capsys):
     code = run_cli("run", "--scenario", str(bad), "--out", str(tmp_path))
     assert code == 2
     assert "line" in capsys.readouterr().err
+
+
+def test_an_access_row_with_an_unknown_op_is_a_validation_error(tmp_path, scenario_dir, capsys):
+    data = yaml.safe_load((scenario_dir / "bridge_small.yaml").read_text(encoding="utf-8"))
+    data["workload"].append(
+        {"tick": 30, "action": "access", "chain": "A", "user": "alice", "case": "C-7",
+         "op": "delete"}
+    )
+    row = len(data["workload"]) - 1
+    with pytest.raises(ScenarioError, match=rf"workload\[{row}\]: op 'delete'"):
+        scenario_from_dict(data, name="bad_op")
+    bad = tmp_path / "bad_op.yaml"
+    bad.write_text(yaml.safe_dump(data), encoding="utf-8")
+    code = run_cli("run", "--scenario", str(bad), "--out", str(tmp_path / "out"))
+    assert code == EXIT_VALIDATION
+    assert "op 'delete'" in capsys.readouterr().err
 
 
 def test_topology_table_rows_and_values(tmp_path, capsys):

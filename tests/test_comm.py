@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from forensicross import comm
 from forensicross.chain import PayloadKind, Transaction, make_transaction
 from forensicross.comm import (
+    HopOrigin,
     LedgerEntry,
     MutualNodeSet,
     NotMutualNode,
@@ -16,6 +17,7 @@ from forensicross.comm import (
     VerificationContract,
     VerifyStatus,
     canonical_translation,
+    hop_origin,
     translate,
     verify_translations,
 )
@@ -61,6 +63,25 @@ def test_compromised_translator_differs_from_honest():
     honest = translate(tx, "n0", MSET, KEYS["n0"])
     bad = translate(tx, "n1", MSET, KEYS["n1"], corrupt=flip_last_byte)
     assert bad.canonical_body != honest.canonical_body
+
+
+def test_translate_given_the_hops_origin_matches_translate_given_the_transaction():
+    origin = origin_tx()
+    record = make_transaction(
+        PayloadKind.INTERCHAIN_ENVELOPE, origin.canonical_bytes(), BRIDGE_CHAIN_ID,
+        ["B"], KeyPair.derive("comm-bridge-contract"),
+    )
+    # a forwarded envelope record routes the origin it embeds
+    assert hop_origin(record) == hop_origin(origin) == HopOrigin(
+        "A:1", "A", origin.canonical_bytes()
+    )
+    for tx in (origin, record):
+        precomputed = hop_origin(tx)
+        for node in MSET.members:
+            for corrupt in (None, flip_last_byte):
+                assert translate(
+                    tx, node, MSET, KEYS[node], corrupt, precomputed
+                ) == translate(tx, node, MSET, KEYS[node], corrupt)
 
 
 def test_translate_outside_set_is_an_error():

@@ -5,6 +5,8 @@ from types import SimpleNamespace
 import pytest
 import yaml
 
+from conftest import SCENARIOS
+from forensicross import scenario as scenario_module
 from forensicross.canonical import DecodeError, enc_int, enc_str, enc_str_list
 from forensicross.chain import PayloadKind, make_transaction, validate_chain
 from forensicross.comm import DeliveryReport
@@ -15,6 +17,7 @@ from forensicross.payloads import (
     AccessControlPayload,
     CaseCreatePayload,
     DataAccessLogPayload,
+    QueryNodeAssignPayload,
     decode_payload,
     encode_payload,
     payload_transaction,
@@ -170,6 +173,21 @@ def test_mesh_rejects_bridge_only_actions():
     }
     with pytest.raises(ScenarioError, match="bridge design"):
         scenario_from_dict(data, "x")
+
+
+@pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.yaml")), ids=lambda p: p.stem)
+def test_load_scenario_matches_the_pure_python_loader(path):
+    reference = yaml.load(path.read_text(encoding="utf-8"), Loader=yaml.SafeLoader)
+    assert load_scenario(path) == scenario_from_dict(reference, name=path.stem)
+
+
+def test_load_scenario_uses_libyaml_when_installed_and_falls_back(monkeypatch, scenario_dir):
+    installed = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+    assert scenario_module._YAML_LOADER is installed
+    path = scenario_dir / "lifecycle_full.yaml"
+    loaded = load_scenario(path)
+    monkeypatch.setattr(scenario_module, "_YAML_LOADER", yaml.SafeLoader)
+    assert load_scenario(path) == loaded
 
 
 def test_pending_timeout_expires_stalled_routing(scenario_dir):
@@ -431,6 +449,21 @@ def test_an_origin_the_bridge_has_no_handler_for_is_a_registry_error(scenario_di
     assert world.events[-1]["op"] == kind.value
     assert world.reports["forged"].status == "registry-rejected"
     assert world.chains[BRIDGE_CHAIN_ID].pending_pool == []
+
+
+def test_an_origin_an_organization_chain_has_no_handler_for_is_a_registry_error(scenario_dir):
+    world = World(load_scenario(scenario_dir / "mesh_small.yaml"))
+    _spec, key = world.users["alice"]
+    payload = QueryNodeAssignPayload("M-9", (key.public_key,))
+    origin = payload_transaction(payload, "A", key, ("B",))
+    world.reports["forged"] = DeliveryReport("forged", "QueryNodeAssign", "A", ("B",))
+    entry = SimpleNamespace(origin_tx_id="forged", winning_body=origin.canonical_bytes())
+    world._on_validated("B", entry, tick=3)
+    assert world.events[-1]["event"] == "registry_error"
+    assert world.events[-1]["op"] == "QueryNodeAssign"
+    assert world.events[-1]["error"] == "UnexpectedKind"
+    assert world.reports["forged"].status == "registry-rejected"
+    assert world.chains["B"].pending_pool == []  # nothing recorded
 
 
 def test_a_stage_hash_for_a_closed_case_is_a_registry_error(scenario_dir):
