@@ -6,12 +6,16 @@ registry hashes and the error-path scenario were recorded before the
 payload handlers in `sim.py` became tables. A refactor or optimisation that
 keeps these bytes the same keeps the simulator's observable behaviour; a
 change that moves them must say why and re-pin them.
+
+The `provenance-demo` bundle and tamper-report hashes were recorded before
+a section's leaves and root became derived from its records.
 """
 import hashlib
 
 import pytest
 import yaml
 
+from forensicross.cli import EXIT_OK, EXIT_TAMPERED, main
 from forensicross.scenario import load_scenario, scenario_from_dict
 from forensicross.sim import (
     run_scenario,
@@ -105,3 +109,32 @@ def test_error_path_artifacts_match_golden_hashes(scenario_dir, tmp_path):
     rejected = [r.kind for r in world.reports.values() if r.status == "registry-rejected"]
     assert rejected == ["CaseCreate", "StageProposal"]
     assert _artifact_hashes(world, tmp_path) == ERROR_GOLDEN
+
+
+# --tamper specs: (exit code, sha256 of bundle.json, sha256 of tamper_report.json)
+DEMO_GOLDEN = {
+    (): (
+        EXIT_OK,
+        "bf6a080eb19b51d83fc775058b6255913d18ea0b85e34f8298b436e8801ce9e0",
+        "32722d6822673819dbb87919b88e306c5e52c413d88b3c560e3ce284c48bceb3",
+    ),
+    ("B:2:1",): (
+        EXIT_TAMPERED,
+        "3d310dc1df80db9d92c05e30e25cd0e4d4918a2175235070fe94595c856c123f",
+        "bf9cecd06b18bd48c0f9ac88d411435582c32324ebb1636416e04156bb95dc10",
+    ),
+}
+
+
+@pytest.mark.parametrize("tampers", sorted(DEMO_GOLDEN), ids=lambda t: "+".join(t) or "intact")
+def test_provenance_demo_exports_match_golden_hashes(scenario_dir, tmp_path, tampers):
+    argv = ["provenance-demo", "--scenario", str(scenario_dir / "tamper_demo.yaml"),
+            "--out", str(tmp_path)]
+    for spec in tampers:
+        argv += ["--tamper", spec]
+    code = main(argv)
+    hashes = tuple(
+        hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("bundle.json", "tamper_report.json")
+    )
+    assert (code, *hashes) == DEMO_GOLDEN[tampers]
