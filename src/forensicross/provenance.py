@@ -75,10 +75,25 @@ class OffchainCaseStore:
 
 @dataclass
 class ChainSection:
+    """One chain's off-chain records for a case, ordered per stage.
+
+    `leaves` and `root` are derived from `stage_transactions` on every read
+    and never stored, so a section cannot carry leaves that disagree with
+    the records it holds, however those records were replaced or edited.
+    """
+
     chain_id: str
     stage_transactions: list[list[Transaction]]
-    leaves: list[Digest]
-    root: Digest
+
+    @property
+    def leaves(self) -> list[Digest]:
+        return [
+            stage_leaf([tx.digest() for tx in txs]) for txs in self.stage_transactions
+        ]
+
+    @property
+    def root(self) -> Digest:
+        return merkle_root(self.leaves)
 
 
 @dataclass
@@ -133,19 +148,15 @@ def extract_provenance(
     sections: dict[str, ChainSection] = {}
     bridge_refs: dict[str, BridgeReference] = {}
     for chain_id in case.participants:
-        store = stores[chain_id]
-        stage_txs = store.stage_lists(case_number, case.stage_count)
-        leaves = [stage_leaf([tx.digest() for tx in txs]) for txs in stage_txs]
         sections[chain_id] = ChainSection(
             chain_id=chain_id,
-            stage_transactions=stage_txs,
-            leaves=leaves,
-            root=case_chain_root(leaves, case.stage_count),
+            stage_transactions=stores[chain_id].stage_lists(case_number, case.stage_count),
         )
+        ref_leaves = registry.stage_leaves_for(case_number, chain_id)
         bridge_refs[chain_id] = BridgeReference(
             chain_id=chain_id,
-            stage_leaves=registry.stage_leaves_for(case_number, chain_id),
-            root=registry.chain_root(case_number, chain_id),
+            stage_leaves=ref_leaves,
+            root=case_chain_root(ref_leaves, case.stage_count),
         )
     return ProvenanceBundle(
         case_number=case_number,
@@ -159,6 +170,10 @@ def extract_provenance(
 def verify_and_localize(bundle: ProvenanceBundle) -> TamperReport:
     """Recompute each chain's stage leaves from the bundled transactions and
     report the stages whose leaf differs from the bridge reference.
+
+    A section stores no leaves or root: `section.leaves` hashes the
+    transactions the section holds at the moment it is read, so the verdict
+    always follows the records and never a copy made at extraction.
 
     Fails closed: raises MalformedBundle unless every section has a
     reference and each reference a section, both sides hold exactly
@@ -187,13 +202,9 @@ def verify_and_localize(bundle: ProvenanceBundle) -> TamperReport:
             raise MalformedBundle(f"{chain_id}: {exc}") from exc
         if ref_root != ref.root:
             raise MalformedBundle(f"{chain_id}: bridge root is not the root of its leaves")
-        leaves = [
-            stage_leaf([tx.digest() for tx in txs])
-            for txs in section.stage_transactions
-        ]
         report.verdicts[chain_id] = tuple(
             stage
-            for stage, (local, reference) in enumerate(zip(leaves, ref.stage_leaves))
+            for stage, (local, reference) in enumerate(zip(section.leaves, ref.stage_leaves))
             if local != reference
         )
     return report

@@ -24,7 +24,7 @@ from .errors import (
 )
 from .lifecycle import AccessPolicy
 from .payloads import VOTE_APPROVE
-from .provenance import stage_leaf
+from .provenance import EMPTY_STAGE_LEAF, stage_leaf
 
 DEFAULT_STAGE_COUNT = 5
 
@@ -237,7 +237,7 @@ class BridgeRegistry:
         leaves = []
         for stage in range(case.stage_count):
             record = case.stage_records.get((chain_id, stage))
-            leaves.append(record.leaf if record is not None else stage_leaf([]))
+            leaves.append(record.leaf if record is not None else EMPTY_STAGE_LEAF)
         return leaves
 
     def chain_root(self, case_number: str, chain_id: str) -> Digest:
