@@ -64,6 +64,8 @@ def _load(args):
         scenario = load_scenario(args.scenario)
     except FileNotFoundError as exc:
         raise CliError(f"scenario file not found: {exc}", EXIT_USAGE) from exc
+    except OSError as exc:  # a directory, or a file this process may not read
+        raise CliError(f"cannot read scenario file: {exc}", EXIT_USAGE) from exc
     except ScenarioError as exc:
         raise CliError(str(exc), EXIT_VALIDATION) from exc
     if args.seed is not None:

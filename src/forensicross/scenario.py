@@ -370,6 +370,9 @@ _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 def load_scenario(path: str | Path) -> Scenario:
     """Parse and validate a scenario file; parse errors carry line numbers.
 
+    A missing or unreadable path raises `OSError` (`FileNotFoundError` for a
+    missing one); bytes that are not UTF-8 raise `ScenarioError`.
+
     The file is parsed with LibYAML's `yaml.CSafeLoader`, which builds the
     same data as the pure-Python `yaml.SafeLoader` about seven times faster;
     with the pure-Python loader, parsing was most of a scenario's set-up
@@ -380,7 +383,11 @@ def load_scenario(path: str | Path) -> Scenario:
     if not path.exists():
         raise FileNotFoundError(str(path))
     try:
-        data = yaml.load(path.read_text(encoding="utf-8"), Loader=_YAML_LOADER)
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{path} is not UTF-8 text: {exc}") from exc
+    try:
+        data = yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}" if mark is not None else ""

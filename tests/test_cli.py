@@ -4,9 +4,9 @@ import json
 import pytest
 import yaml
 
-from forensicross.cli import EXIT_VALIDATION, main
+from forensicross.cli import EXIT_USAGE, EXIT_VALIDATION, main
 from forensicross.errors import ScenarioError
-from forensicross.scenario import scenario_from_dict
+from forensicross.scenario import load_scenario, scenario_from_dict
 
 LIFECYCLE = "lifecycle_full.yaml"
 TAMPER = "tamper_demo.yaml"
@@ -40,6 +40,23 @@ def test_run_missing_file_is_usage_error(tmp_path, capsys):
     code = run_cli("run", "--scenario", str(tmp_path / "nope.yaml"), "--out", str(tmp_path))
     assert code == 1
     assert "not found" in capsys.readouterr().err
+
+
+def test_run_directory_as_scenario_is_usage_error(tmp_path, capsys):
+    code = run_cli("run", "--scenario", str(tmp_path), "--out", str(tmp_path / "out"))
+    assert code == EXIT_USAGE
+    assert "cannot read scenario file" in capsys.readouterr().err
+
+
+def test_run_non_utf8_scenario_is_validation_error(tmp_path, scenario_dir, capsys):
+    text = (scenario_dir / "bridge_small.yaml").read_bytes()
+    bad = tmp_path / "not_utf8.yaml"
+    bad.write_bytes(text.replace(b"name: bridge-small", b"name: bridge-\xff\xfesmall"))
+    with pytest.raises(ScenarioError, match="not UTF-8"):
+        load_scenario(bad)
+    code = run_cli("run", "--scenario", str(bad), "--out", str(tmp_path / "out"))
+    assert code == EXIT_VALIDATION
+    assert "not UTF-8" in capsys.readouterr().err
 
 
 def test_run_parse_error_reports_line(tmp_path, capsys):
