@@ -3,9 +3,11 @@ import json
 import pickle
 import random
 from dataclasses import replace
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import build_random_chain, mutate_block_somewhere, transactions
 from forensicross import chain as chain_module
@@ -191,6 +193,55 @@ def test_validate_reports_a_block_that_repeats_its_last_transaction(scenario_dir
     assert tx_root(padded) == block.tx_merkle_root
     chain.blocks[height] = replace(block, transactions=padded)
     assert validate_chain(chain) == ChainFault(height, "duplicate transaction")
+
+
+@cache
+def _chain_of_widths() -> Chain:
+    """Blocks of 1 to 5 distinct transactions, one block per width."""
+    chain, validators, user = fresh_chain()
+    for height, width in enumerate((1, 2, 3, 4, 5)):
+        for j in range(width):
+            chain.submit_transaction(some_tx(user, body=f"{height}:{j}".encode()))
+        chain.mine_block(validators[height % len(validators)])
+    return chain
+
+
+TUPLE_CHANGES = ("append", "drop", "duplicate", "reorder")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(TUPLE_CHANGES), st.data())
+def test_validate_reports_every_change_to_a_block_transaction_tuple(change, data):
+    """The header stays as mined; only the block's transaction tuple moves."""
+    chain = _chain_of_widths()
+    eligible = [
+        h for h, b in enumerate(chain.blocks)
+        if len(b.transactions) >= (2 if change == "reorder" else 1)
+    ]
+    height = data.draw(st.sampled_from(eligible), label="height")
+    block = chain.blocks[height]
+    txs = block.transactions
+    if change == "append":
+        others = [tx for b in chain.blocks if b is not block for tx in b.transactions]
+        changed = txs + (data.draw(st.sampled_from(others), label="appended"),)
+    elif change == "drop":
+        j = data.draw(st.integers(0, len(txs) - 1), label="dropped")
+        changed = txs[:j] + txs[j + 1:]
+    elif change == "duplicate":
+        j = data.draw(st.integers(0, len(txs) - 1), label="copied")
+        k = data.draw(st.integers(0, len(txs)), label="inserted at")
+        changed = txs[:k] + (txs[j],) + txs[k:]
+    else:
+        changed = tuple(data.draw(
+            st.permutations(txs).filter(lambda p: tuple(p) != txs), label="order"
+        ))
+    expected = "duplicate transaction" if change == "duplicate" else "tx merkle root mismatch"
+    assert validate_chain(chain) is None
+    chain.blocks[height] = replace(block, transactions=changed)
+    try:
+        assert validate_chain(chain) == ChainFault(height, expected)
+    finally:
+        chain.blocks[height] = block
 
 
 def test_validate_localizes_mutated_tx():

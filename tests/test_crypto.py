@@ -3,6 +3,8 @@ import pickle
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 
 from forensicross.crypto import (
@@ -102,6 +104,12 @@ def test_merkle_matches_oracle_for_all_widths_up_to_33():
     for width in range(1, 34):
         leaves = [sha(rng.randbytes(8)) for _ in range(width)]
         assert merkle_root(leaves) == recursive_merkle_root(leaves), width
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.binary(min_size=32, max_size=32), min_size=1, max_size=64))
+def test_merkle_root_matches_the_recursive_oracle_on_generated_leaves(leaves):
+    assert merkle_root(leaves) == recursive_merkle_root(leaves)
 
 
 def test_merkle_root_changes_when_any_leaf_changes():

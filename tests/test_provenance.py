@@ -1,13 +1,19 @@
+import copy
 import hashlib
 from dataclasses import replace
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import SCENARIOS
 from forensicross.crypto import hash_bytes
 from forensicross.errors import MalformedBundle, NotQueryNode, UnknownCase
 from forensicross.provenance import (
     EMPTY_STAGE_LEAF,
     OffchainCaseStore,
+    bundle_to_record,
     case_chain_root,
     extract_provenance,
     stage_leaf,
@@ -15,7 +21,7 @@ from forensicross.provenance import (
 )
 from forensicross.scenario import load_scenario
 from forensicross.sim import run_scenario
-from oracles import recursive_merkle_root, sha
+from oracles import nested_stage_leaf, recursive_merkle_root, sha
 
 
 def test_stage_leaf_empty_convention():
@@ -34,6 +40,12 @@ def test_stage_leaf_single_and_multi():
 def test_stage_leaf_order_matters():
     d1, d2 = sha(b"1"), sha(b"2")
     assert stage_leaf([d1, d2]) != stage_leaf([d2, d1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.binary(min_size=32, max_size=32), max_size=20))
+def test_stage_leaf_matches_the_nested_oracle(tx_hashes):
+    assert stage_leaf(tx_hashes) == nested_stage_leaf(tx_hashes)
 
 
 def test_case_chain_root_shapes():
@@ -193,13 +205,16 @@ def _drop_section(bundle):
     del bundle.sections["B"]
 
 
-@pytest.mark.parametrize("malform", [
+MALFORMS = [
     _forge_root,
     _truncate_reference_leaves,
     _shorten_section,
     _narrow_reference_leaf,
     _drop_section,
-], ids=lambda f: f.__name__.lstrip("_"))
+]
+
+
+@pytest.mark.parametrize("malform", MALFORMS, ids=lambda f: f.__name__.lstrip("_"))
 def test_malformed_bundle_fails_closed(scenario_dir, malform):
     """Each of these read as intact or leaked a raw ValueError before."""
     world = _tamper_world(scenario_dir)
@@ -207,6 +222,93 @@ def test_malformed_bundle_fails_closed(scenario_dir, malform):
     bundle = extract_provenance(
         world.registry, "C-1", sorted(case.query_nodes)[0], world.stores
     )
+    malform(bundle)
+    with pytest.raises(MalformedBundle):
+        verify_and_localize(bundle)
+
+
+@cache
+def _finished_tamper_world():
+    """One finished tamper_demo run, shared read-only by the tests below."""
+    return run_scenario(load_scenario(SCENARIOS / "tamper_demo.yaml"))
+
+
+def _bundle(stores=None):
+    world = _finished_tamper_world()
+    requester = min(world.registry.cases["C-1"].query_nodes)
+    return extract_provenance(world.registry, "C-1", requester, stores or world.stores)
+
+
+def _stored_positions() -> list[tuple[str, int, int]]:
+    world = _finished_tamper_world()
+    case = world.registry.cases["C-1"]
+    return [
+        (chain_id, stage, index)
+        for chain_id in case.participants
+        for stage in range(case.stage_count)
+        for index in range(len(world.stores[chain_id].transactions("C-1", stage)))
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sets(st.sampled_from(_stored_positions()), max_size=10))
+def test_localization_reports_exactly_the_tampered_stages_of_each_chain(positions):
+    stores = copy.deepcopy(_finished_tamper_world().stores)
+    for chain_id, stage, index in positions:
+        stores[chain_id].tamper("C-1", stage, index)
+    report = verify_and_localize(_bundle(stores))
+    assert report.verdicts == {
+        chain_id: tuple(sorted({s for c, s, _i in positions if c == chain_id}))
+        for chain_id in ("A", "B")
+    }
+
+
+def _oracle_leaves(stage_transactions) -> list[bytes]:
+    return [
+        nested_stage_leaf([sha(tx.canonical_bytes()) for tx in txs])
+        for txs in stage_transactions
+    ]
+
+
+def _replace_stage_lists(bundle):
+    section = bundle.sections["B"]
+    stages = [list(txs) for txs in section.stage_transactions]
+    stages[2][1] = replace(stages[2][1], body=b"forged")
+    bundle.sections["B"] = replace(section, stage_transactions=stages)
+    return "B", 2
+
+
+def _edit_in_place(bundle):
+    txs = bundle.sections["A"].stage_transactions[4]
+    txs[0] = replace(txs[0], body=b"forged")
+    return "A", 4
+
+
+SECTION_EDITS = [_replace_stage_lists, _edit_in_place]
+
+
+@pytest.mark.parametrize("edit", SECTION_EDITS, ids=lambda f: f.__name__.lstrip("_"))
+def test_section_leaves_and_root_follow_its_records(edit):
+    bundle = _bundle()
+    before = bundle_to_record(bundle)["chains"]
+    chain_id, stage = edit(bundle)
+    section = bundle.sections[chain_id]
+    after = bundle_to_record(bundle)["chains"][chain_id]
+    leaves = _oracle_leaves(section.stage_transactions)
+    assert after["leaves"] == [leaf.hex() for leaf in leaves]
+    assert after["root"] == recursive_merkle_root(leaves).hex()
+    assert [
+        s for s, (old, new) in enumerate(zip(before[chain_id]["leaves"], after["leaves"]))
+        if old != new
+    ] == [stage]
+    assert verify_and_localize(bundle).verdicts[chain_id] == (stage,)
+
+
+@pytest.mark.parametrize("malform", MALFORMS, ids=lambda f: f.__name__.lstrip("_"))
+@pytest.mark.parametrize("edit", SECTION_EDITS, ids=lambda f: f.__name__.lstrip("_"))
+def test_an_edited_bundle_still_fails_closed_when_malformed(edit, malform):
+    bundle = _bundle()
+    edit(bundle)
     malform(bundle)
     with pytest.raises(MalformedBundle):
         verify_and_localize(bundle)
