@@ -210,6 +210,15 @@ def verify_and_localize(bundle: ProvenanceBundle) -> TamperReport:
     return report
 
 
+def _section_record(section: ChainSection) -> dict:
+    leaves = section.leaves  # derived: read once for both the leaves and the root
+    return {
+        "leaves": [leaf.hex() for leaf in leaves],
+        "root": merkle_root(leaves).hex(),
+        "stage_tx_ids": [[tx.tx_id for tx in txs] for txs in section.stage_transactions],
+    }
+
+
 def bundle_to_record(bundle: ProvenanceBundle) -> dict:
     """JSON-ready export of a bundle (digests as hex)."""
     return {
@@ -217,13 +226,7 @@ def bundle_to_record(bundle: ProvenanceBundle) -> dict:
         "stage_count": bundle.stage_count,
         "recipient": bundle.recipient_public_key.hex(),
         "chains": {
-            chain_id: {
-                "leaves": [leaf.hex() for leaf in section.leaves],
-                "root": section.root.hex(),
-                "stage_tx_ids": [
-                    [tx.tx_id for tx in txs] for txs in section.stage_transactions
-                ],
-            }
+            chain_id: _section_record(section)
             for chain_id, section in sorted(bundle.sections.items())
         },
         "bridge_reference": {
