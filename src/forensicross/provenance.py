@@ -4,8 +4,9 @@ tamper localization.
 Each chain keeps the full case transactions off-chain, ordered per stage
 exactly as mined. A stage's leaf is the nested hash of its ordered
 transaction digests; the per-chain case root is the Merkle root over the
-stage leaves. The bridge's copies of leaves/roots are the reference: a
-mismatch localizes tampering to exact stages.
+stage leaves. The bridge's copies of the leaves are the reference: a
+mismatch localizes tampering to exact stages. Roots are derived from the
+leaves for export only; localization compares leaves and computes none.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Mapping
 
 from .chain import Transaction
-from .crypto import Digest, hash_bytes, merkle_root
+from .crypto import DIGEST_SIZE, Digest, hash_bytes, merkle_root
 from .errors import MalformedBundle, NotQueryNode
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -67,6 +68,8 @@ class OffchainCaseStore:
         original hashes, which is exactly what localization detects.
         """
         stage_txs = self._records[case_number][stage]
+        if index < 0:  # no wrap-around: -1 names no stored position
+            raise IndexError(f"transaction index {index} is negative")
         original = stage_txs[index]
         tampered = replace(original, body=mutate(original.body))
         stage_txs[index] = tampered
@@ -98,16 +101,32 @@ class ChainSection:
 
 @dataclass
 class BridgeReference:
+    """The bridge registry's stage leaves for one chain's part of a case.
+
+    `root` is derived from `stage_leaves` on every read and never stored, so
+    a reference cannot carry a root that disagrees with its leaves. It
+    exists for export; `verify_and_localize` compares leaves and never
+    computes or checks a root.
+    """
+
     chain_id: str
     stage_leaves: list[Digest]
-    root: Digest
+
+    @property
+    def root(self) -> Digest:
+        return merkle_root(self.stage_leaves)
 
 
 @dataclass
 class ProvenanceBundle:
     """Consolidated provenance for one case: every chain's off-chain records
-    plus the bridge's reference leaves/roots, addressed to one query node
-    (sealed-envelope marker; payloads stay plaintext at this scale)."""
+    plus the bridge's reference leaves, addressed to one query node
+    (sealed-envelope marker; payloads stay plaintext at this scale).
+
+    The bundle stores records and leaves only. Every root in it is derived
+    on read (`ChainSection.root`, `BridgeReference.root`) for export, and is
+    neither stored nor checked.
+    """
 
     case_number: str
     stage_count: int
@@ -152,11 +171,9 @@ def extract_provenance(
             chain_id=chain_id,
             stage_transactions=stores[chain_id].stage_lists(case_number, case.stage_count),
         )
-        ref_leaves = registry.stage_leaves_for(case_number, chain_id)
         bridge_refs[chain_id] = BridgeReference(
             chain_id=chain_id,
-            stage_leaves=ref_leaves,
-            root=case_chain_root(ref_leaves, case.stage_count),
+            stage_leaves=registry.stage_leaves_for(case_number, chain_id),
         )
     return ProvenanceBundle(
         case_number=case_number,
@@ -175,11 +192,13 @@ def verify_and_localize(bundle: ProvenanceBundle) -> TamperReport:
     transactions the section holds at the moment it is read, so the verdict
     always follows the records and never a copy made at extraction.
 
+    No root is computed or checked: the verdict is the leaf comparison
+    alone, so a forged reference leaf is reported as a tampered stage just
+    like a forged record.
+
     Fails closed: raises MalformedBundle unless every section has a
     reference and each reference a section, both sides hold exactly
-    `stage_count` stages, and each reference root is the Merkle root of its
-    own leaves. With the reference root checked, equal leaves are the same
-    as equal roots, so a root mismatch is always localized to some stage.
+    `stage_count` stages, and every reference leaf is `DIGEST_SIZE` bytes.
     """
     stage_count = bundle.stage_count
     if set(bundle.bridge_refs) != set(bundle.sections):
@@ -196,12 +215,12 @@ def verify_and_localize(bundle: ProvenanceBundle) -> TamperReport:
                 f"{chain_id}: expected {stage_count} stages, got {shape[0]} "
                 f"transaction lists and {shape[1]} reference leaves"
             )
-        try:
-            ref_root = case_chain_root(ref.stage_leaves, stage_count)
-        except ValueError as exc:  # a reference leaf of the wrong width
-            raise MalformedBundle(f"{chain_id}: {exc}") from exc
-        if ref_root != ref.root:
-            raise MalformedBundle(f"{chain_id}: bridge root is not the root of its leaves")
+        for stage, leaf in enumerate(ref.stage_leaves):
+            if len(leaf) != DIGEST_SIZE:
+                raise MalformedBundle(
+                    f"{chain_id}: reference leaf {stage} is {len(leaf)} bytes, "
+                    f"expected {DIGEST_SIZE}"
+                )
         report.verdicts[chain_id] = tuple(
             stage
             for stage, (local, reference) in enumerate(zip(section.leaves, ref.stage_leaves))

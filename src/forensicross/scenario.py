@@ -146,6 +146,14 @@ def _require(mapping: dict, key: str, context: str):
     return mapping[key]
 
 
+def _at_least(value: int, minimum: int, name: str) -> int:
+    """`value` if it is at least `minimum`; otherwise a ScenarioError naming
+    the field, so an out-of-range number is refused at load, not in a run."""
+    if value < minimum:
+        raise ScenarioError(f"{name} must be >= {minimum}, got {value}")
+    return value
+
+
 def _check_keys(mapping: dict, allowed: set[str], context: str) -> None:
     unknown = set(mapping) - allowed
     if unknown:
@@ -272,7 +280,7 @@ def scenario_from_dict(data: dict, name: str) -> Scenario:
                 raise ScenarioError(f"{context}: unknown user {node_user!r} in nodes")
         workload.append(
             WorkloadAction(
-                tick=int(_require(w, "tick", context)),
+                tick=_at_least(int(_require(w, "tick", context)), 0, f"{context}.tick"),
                 action=action,
                 chain=chain,
                 user=user,
@@ -317,7 +325,7 @@ def scenario_from_dict(data: dict, name: str) -> Scenario:
                 raise ScenarioError(f"{context}: unknown corruption rule {rule!r}")
             faults.append(
                 FaultSpec(
-                    tick=int(f.get("tick", 0)),
+                    tick=_at_least(int(f.get("tick", 0)), 0, f"{context}.tick"),
                     kind=kind,
                     node=str(_require(f, "node", context)),
                     rule=rule,
@@ -330,12 +338,12 @@ def scenario_from_dict(data: dict, name: str) -> Scenario:
                 raise ScenarioError(f"{context}: unknown chain {chain!r}")
             faults.append(
                 FaultSpec(
-                    tick=int(_require(f, "tick", context)),
+                    tick=_at_least(int(_require(f, "tick", context)), 0, f"{context}.tick"),
                     kind=kind,
                     chain=chain,
                     case=str(_require(f, "case", context)),
                     stage=int(_require(f, "stage", context)),
-                    tx_index=int(f.get("tx_index", 0)),
+                    tx_index=_at_least(int(f.get("tx_index", 0)), 0, f"{context}.tx_index"),
                 )
             )
         else:
@@ -350,10 +358,10 @@ def scenario_from_dict(data: dict, name: str) -> Scenario:
         mutual_per_chain=n_i,
         bridge_nodes=m,
         bridge_mutual=b_i,
-        stage_count=int(data.get("stage_count", 5)),
-        link_latency=int(data.get("link_latency", 1)),
+        stage_count=_at_least(int(data.get("stage_count", 5)), 1, "stage_count"),
+        link_latency=_at_least(int(data.get("link_latency", 1)), 1, "link_latency"),
         block_times=block_times,
-        pending_timeout=int(data.get("pending_timeout", 50)),
+        pending_timeout=_at_least(int(data.get("pending_timeout", 50)), 1, "pending_timeout"),
         max_ticks=int(data.get("max_ticks", 10_000)),
         users=tuple(users),
         policy=policy,

@@ -83,6 +83,37 @@ def test_an_access_row_with_an_unknown_op_is_a_validation_error(tmp_path, scenar
     assert "op 'delete'" in capsys.readouterr().err
 
 
+TAMPER_FAULT = {"tick": 45, "kind": "tamper-offchain", "chain": "B", "case": "C-1",
+                "stage": 2, "tx_index": 1}
+
+# (edit of tamper_demo, the field the error must name); each of these used
+# to load and then fail inside World.run, or run silently
+BELOW_MINIMUM = {
+    "stage_count": (lambda d: d.update(stage_count=0), "stage_count"),
+    "link_latency": (lambda d: d.update(link_latency=0), "link_latency"),
+    "pending_timeout": (lambda d: d.update(pending_timeout=0), "pending_timeout"),
+    "workload_tick": (lambda d: d["workload"][0].update(tick=-1), "workload[0].tick"),
+    "fault_tick": (
+        lambda d: d.update(faults=[{**TAMPER_FAULT, "tick": -1}]), "faults[0].tick"
+    ),
+    "tx_index": (
+        lambda d: d.update(faults=[{**TAMPER_FAULT, "tx_index": -1}]), "faults[0].tx_index"
+    ),
+}
+
+
+@pytest.mark.parametrize("row", sorted(BELOW_MINIMUM))
+def test_a_value_below_its_minimum_is_a_validation_error(tmp_path, scenario_dir, capsys, row):
+    edit, field_name = BELOW_MINIMUM[row]
+    data = yaml.safe_load((scenario_dir / TAMPER).read_text(encoding="utf-8"))
+    edit(data)
+    bad = tmp_path / f"{row}.yaml"
+    bad.write_text(yaml.safe_dump(data), encoding="utf-8")
+    code = run_cli("run", "--scenario", str(bad), "--out", str(tmp_path / "out"))
+    assert code == EXIT_VALIDATION
+    assert f"{field_name} must be >=" in capsys.readouterr().err
+
+
 def test_topology_table_rows_and_values(tmp_path, capsys):
     code = run_cli("topology", "--k-min", "2", "--k-max", "10", "--out", str(tmp_path))
     assert code == 0
@@ -145,6 +176,18 @@ def test_provenance_demo_two_tampers(tmp_path, scenario_dir):
     report = json.loads((tmp_path / "tamper_report.json").read_text())
     assert report["verdicts"]["A"]["tampered_stages"] == [0, 3]
     assert report["verdicts"]["B"]["intact"]
+
+
+def test_provenance_demo_negative_tamper_index_is_a_validation_error(
+    tmp_path, scenario_dir, capsys
+):
+    code = run_cli(
+        "provenance-demo", "--scenario", str(scenario_dir / TAMPER),
+        "--out", str(tmp_path), "--tamper", "B:2:-1",
+    )
+    assert code == EXIT_VALIDATION
+    assert "no stored transaction at B:2:-1" in capsys.readouterr().err
+    assert not (tmp_path / "tamper_report.json").exists()
 
 
 def test_provenance_demo_bad_tamper_spec(tmp_path, scenario_dir, capsys):

@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import SCENARIOS
-from forensicross.crypto import hash_bytes
-from forensicross.errors import MalformedBundle, NotQueryNode, UnknownCase
+from forensicross import chain, crypto, provenance
+from forensicross.crypto import DIGEST_SIZE, hash_bytes
+from forensicross.errors import MalformedBundle, NotQueryNode, ScenarioError, UnknownCase
 from forensicross.provenance import (
     EMPTY_STAGE_LEAF,
     OffchainCaseStore,
@@ -19,7 +20,7 @@ from forensicross.provenance import (
     stage_leaf,
     verify_and_localize,
 )
-from forensicross.scenario import load_scenario
+from forensicross.scenario import FAULT_TAMPER, FaultSpec, load_scenario
 from forensicross.sim import run_scenario
 from oracles import nested_stage_leaf, recursive_merkle_root, sha
 
@@ -175,10 +176,24 @@ def test_store_tamper_changes_only_the_store():
     assert tx.body == b"orig"  # the original object is untouched
 
 
+def test_store_tamper_refuses_a_negative_index(scenario_dir):
+    store = copy.deepcopy(_finished_tamper_world().stores["B"])
+    before = store.transactions("C-1", 2)
+    with pytest.raises(IndexError):
+        store.tamper("C-1", 2, -1)
+    assert store.transactions("C-1", 2) == before
 
-def _forge_root(bundle):
+    scenario = load_scenario(scenario_dir / "tamper_demo.yaml")
+    fault = FaultSpec(tick=45, kind=FAULT_TAMPER, chain="B", case="C-1", stage=2, tx_index=-1)
+    with pytest.raises(ScenarioError, match="B/C-1/2/-1"):
+        run_scenario(replace(scenario, faults=(fault,)))
+
+
+def _widen_reference_leaf(bundle):
     ref = bundle.bridge_refs["A"]
-    bundle.bridge_refs["A"] = replace(ref, root=sha(ref.root))
+    leaves = list(ref.stage_leaves)
+    leaves[2] += b"\x00"
+    bundle.bridge_refs["A"] = replace(ref, stage_leaves=leaves)
 
 
 def _truncate_reference_leaves(bundle):
@@ -206,7 +221,7 @@ def _drop_section(bundle):
 
 
 MALFORMS = [
-    _forge_root,
+    _widen_reference_leaf,
     _truncate_reference_leaves,
     _shorten_section,
     _narrow_reference_leaf,
@@ -312,3 +327,59 @@ def test_an_edited_bundle_still_fails_closed_when_malformed(edit, malform):
     malform(bundle)
     with pytest.raises(MalformedBundle):
         verify_and_localize(bundle)
+
+
+def test_reference_root_is_derived_from_its_leaves():
+    bundle = _bundle()
+    ref = bundle.bridge_refs["B"]
+    leaves = [sha(leaf) for leaf in ref.stage_leaves]
+    bundle.bridge_refs["B"] = ref = replace(ref, stage_leaves=leaves)
+    assert ref.root == recursive_merkle_root(leaves)
+    assert bundle_to_record(bundle)["bridge_reference"]["B"]["root"] == ref.root.hex()
+
+
+def _reference_positions() -> list[tuple[str, int]]:
+    case = _finished_tamper_world().registry.cases["C-1"]
+    return [(c, s) for c in case.participants for s in range(case.stage_count)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    forged=st.sets(st.sampled_from(_reference_positions())),
+    records=st.sets(st.sampled_from(_stored_positions()), max_size=6),
+    digest=st.binary(min_size=DIGEST_SIZE, max_size=DIGEST_SIZE),
+)
+def test_forged_reference_leaves_are_localized(forged, records, digest):
+    stores = copy.deepcopy(_finished_tamper_world().stores)
+    for chain_id, stage, index in records:
+        stores[chain_id].tamper("C-1", stage, index)
+    bundle = _bundle(stores)
+    for chain_id, stage in forged:
+        leaves = bundle.bridge_refs[chain_id].stage_leaves
+        # another digest of the right width: `digest`, unless it is the real leaf
+        leaves[stage] = digest if digest != leaves[stage] else sha(digest)
+    tampered = forged | {(c, s) for c, s, _i in records}
+    assert verify_and_localize(bundle).verdicts == {
+        chain_id: tuple(sorted(s for c, s in tampered if c == chain_id))
+        for chain_id in ("A", "B")
+    }
+
+
+def test_an_intact_audit_hashes_each_stage_once_and_builds_no_root(monkeypatch):
+    _finished_tamper_world()  # run the scenario before anything is counted
+    calls = {"hash_bytes": 0, "merkle_root": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    wrapped = {name: counting(name, getattr(crypto, name)) for name in calls}
+    for module in (crypto, chain, provenance):
+        for name, wrapper in wrapped.items():
+            monkeypatch.setattr(module, name, wrapper)
+    report = verify_and_localize(_bundle())
+    assert not report.tampered
+    # per chain: five stage leaves, two hashes each; the record digests are memoized
+    assert calls == {"hash_bytes": 10 * len(report.verdicts), "merkle_root": 0}
