@@ -141,6 +141,7 @@ class Scenario:
 
 
 def _require(mapping: dict, key: str, context: str):
+    _check_mapping(mapping, context)
     if key not in mapping:
         raise ScenarioError(f"{context}: missing required key {key!r}")
     return mapping[key]
@@ -154,7 +155,13 @@ def _at_least(value: int, minimum: int, name: str) -> int:
     return value
 
 
+def _check_mapping(value, context: str) -> None:
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{context} must be a mapping, got {type(value).__name__}")
+
+
 def _check_keys(mapping: dict, allowed: set[str], context: str) -> None:
+    _check_mapping(mapping, context)
     unknown = set(mapping) - allowed
     if unknown:
         raise ScenarioError(f"{context}: unknown keys {sorted(unknown)}")
@@ -289,7 +296,7 @@ def scenario_from_dict(data: dict, name: str) -> Scenario:
                 op=op,
                 payload=str(w.get("payload", "")),
                 nodes=tuple(str(x) for x in w.get("nodes", [])),
-                stage=int(w.get("stage", 0)),
+                stage=_at_least(int(w.get("stage", 0)), 0, f"{context}.stage"),
             )
         )
 

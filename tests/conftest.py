@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from forensicross import crypto
 from forensicross.chain import Block, Chain, PayloadKind, Transaction, make_transaction
 from forensicross.crypto import KeyPair
 
@@ -32,6 +33,12 @@ transactions = st.builds(
 @pytest.fixture
 def scenario_dir() -> Path:
     return SCENARIOS
+
+
+@pytest.fixture
+def openssl_only(monkeypatch) -> None:
+    """Ed25519 through OpenSSL alone, as on a host without libsodium."""
+    monkeypatch.setattr(crypto, "_SODIUM", None)
 
 
 def build_random_chain(

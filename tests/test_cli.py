@@ -99,19 +99,45 @@ BELOW_MINIMUM = {
     "tx_index": (
         lambda d: d.update(faults=[{**TAMPER_FAULT, "tx_index": -1}]), "faults[0].tx_index"
     ),
+    # workload[9] is the first propose-stage row
+    "workload_stage": (lambda d: d["workload"][9].update(stage=-1), "workload[9].stage"),
 }
+
+
+def run_edited_tamper_demo(tmp_path, scenario_dir, edit) -> int:
+    """`forensicross run` on tamper_demo after `edit` of its loaded data."""
+    data = yaml.safe_load((scenario_dir / TAMPER).read_text(encoding="utf-8"))
+    edit(data)
+    bad = tmp_path / "edited.yaml"
+    bad.write_text(yaml.safe_dump(data), encoding="utf-8")
+    return run_cli("run", "--scenario", str(bad), "--out", str(tmp_path / "out"))
 
 
 @pytest.mark.parametrize("row", sorted(BELOW_MINIMUM))
 def test_a_value_below_its_minimum_is_a_validation_error(tmp_path, scenario_dir, capsys, row):
     edit, field_name = BELOW_MINIMUM[row]
-    data = yaml.safe_load((scenario_dir / TAMPER).read_text(encoding="utf-8"))
-    edit(data)
-    bad = tmp_path / f"{row}.yaml"
-    bad.write_text(yaml.safe_dump(data), encoding="utf-8")
-    code = run_cli("run", "--scenario", str(bad), "--out", str(tmp_path / "out"))
-    assert code == EXIT_VALIDATION
+    assert run_edited_tamper_demo(tmp_path, scenario_dir, edit) == EXIT_VALIDATION
     assert f"{field_name} must be >=" in capsys.readouterr().err
+
+
+# (edit of tamper_demo, the entry the error must name); each used to raise
+# TypeError, or report a string workload entry as "unknown keys ['x']"
+NOT_A_MAPPING = {
+    "users": (lambda d: d["users"].append(5), "users[3]"),
+    "workload": (lambda d: d["workload"].append("x"), "workload[39]"),
+    "votes": (lambda d: d.update(votes=[["C-1", 1]]), "votes[0]"),
+    "faults": (lambda d: d.update(faults=[3]), "faults[0]"),
+    "topology": (lambda d: d.update(topology=5), "topology"),
+}
+
+
+@pytest.mark.parametrize("section", sorted(NOT_A_MAPPING))
+def test_an_entry_that_is_not_a_mapping_is_a_validation_error(
+    tmp_path, scenario_dir, capsys, section
+):
+    edit, context = NOT_A_MAPPING[section]
+    assert run_edited_tamper_demo(tmp_path, scenario_dir, edit) == EXIT_VALIDATION
+    assert f"{context} must be a mapping" in capsys.readouterr().err
 
 
 def test_topology_table_rows_and_values(tmp_path, capsys):

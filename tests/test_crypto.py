@@ -1,12 +1,19 @@
+import ctypes
 import hashlib
 import pickle
 import random
+import types
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
+from cryptography.exceptions import InvalidSignature
+from cryptography.hazmat.primitives.asymmetric.ed25519 import (
+    Ed25519PrivateKey,
+    Ed25519PublicKey,
+)
 
+from forensicross import crypto
 from forensicross.crypto import (
     EmptyLeavesError,
     KeyPair,
@@ -143,9 +150,12 @@ def test_merkle_rejects_wrong_width_leaf():
 def test_key_is_not_parsed_before_first_sign():
     # from_seed, not derive: a derived key is shared and may have signed already
     key = KeyPair.from_seed(hash_bytes(b"lazy"))
-    assert "_signer" not in vars(key)
+    fields = {"public_key", "private_key"}
+    assert set(vars(key)) == fields
     sign(b"m", key)
-    assert "_signer" in vars(key)
+    # only the active backend's signing key is built
+    cached = "_signer" if crypto._SODIUM is None else "_sodium_secret"
+    assert set(vars(key)) == fields | {cached}
 
 
 def test_reused_key_signs_exactly_like_a_fresh_parse():
@@ -197,3 +207,170 @@ def test_worlds_of_one_scenario_share_their_keys(scenario_dir, tmp_path):
     write_event_log(first.run(), tmp_path / "first.jsonl")
     write_event_log(second.run(), tmp_path / "second.jsonl")
     assert (tmp_path / "second.jsonl").read_bytes() == (tmp_path / "first.jsonl").read_bytes()
+
+
+# The library loaded at import; fixtures may set `crypto._SODIUM` to None.
+SODIUM = crypto._SODIUM
+needs_sodium = pytest.mark.skipif(
+    SODIUM is None,
+    reason=f"{crypto._SODIUM_SONAME} is not on this host, so only the OpenSSL path exists",
+)
+
+# the order of the Ed25519 base point (RFC 8032 section 5.1)
+L = 2**252 + 27742317777372353535851937790883648493
+# the encoding of the identity point: a small-order key that OpenSSL admits
+IDENTITY = b"\x01" + bytes(31)
+
+
+def _on_both_paths(thunk) -> list:
+    """thunk() with libsodium, then with OpenSSL alone."""
+    outcomes = []
+    for lib in (SODIUM, None):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(crypto, "_SODIUM", lib)
+            outcomes.append(thunk())
+    return outcomes
+
+
+def _base_times(scalar: int) -> bytes:
+    """The encoding of [scalar]B, for 0 < scalar < L."""
+    lib = ctypes.CDLL(crypto._SODIUM_SONAME)
+    lib.crypto_scalarmult_ed25519_base_noclamp.argtypes = (ctypes.c_char_p, ctypes.c_char_p)
+    lib.crypto_scalarmult_ed25519_base_noclamp.restype = ctypes.c_int
+    point = ctypes.create_string_buffer(32)
+    assert lib.crypto_scalarmult_ed25519_base_noclamp(point, scalar.to_bytes(32, "little")) == 0
+    return point.raw
+
+
+def _flip_bit(data: bytes, bit: int) -> bytes:
+    flipped = bytearray(data)
+    flipped[bit // 8] ^= 1 << (bit % 8)
+    return bytes(flipped)
+
+
+@needs_sodium
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.binary(min_size=32, max_size=32),
+    other=st.binary(min_size=32, max_size=32),
+    message=st.binary(max_size=200),
+)
+def test_both_paths_sign_the_same_bytes(seed, other, message):
+    key = KeyPair.from_seed(seed)
+    # a pair whose public_key field is not its seed's signs with the seed alone
+    mismatched = KeyPair(public_key=KeyPair.from_seed(other).public_key, private_key=seed)
+    reference = Ed25519PrivateKey.from_private_bytes(seed).sign(message)
+    assert _on_both_paths(lambda: sign(message, key)) == [reference, reference]
+    assert _on_both_paths(lambda: sign(message, mismatched)) == [reference, reference]
+
+
+@needs_sodium
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.binary(min_size=32, max_size=32),
+    message=st.binary(min_size=1, max_size=200),
+    bits=st.tuples(*[st.integers(0, 255)] * 3),
+    message_bit=st.integers(0, 8 * 200 - 1),
+    scalar=st.integers(1, L - 1),
+)
+def test_both_paths_give_the_same_verdicts(seed, message, bits, message_bit, scalar):
+    key = KeyPair.from_seed(seed)
+    signature = sign(message, key)
+    r_bit, s_bit, key_bit = bits
+    s_plus_l = (int.from_bytes(signature[32:], "little") + L).to_bytes(32, "little")
+    # with the identity as A, [S]B = R + [h]A holds for R = [S]B and any message
+    small_order = _base_times(scalar) + scalar.to_bytes(32, "little")
+    cases = [
+        (message, signature, key.public_key, True),
+        (message, _flip_bit(signature, r_bit), key.public_key, False),
+        (message, _flip_bit(signature, 256 + s_bit), key.public_key, False),
+        (_flip_bit(message, message_bit % (8 * len(message))), signature, key.public_key, False),
+        (message, signature, _flip_bit(key.public_key, key_bit), False),
+        (message, signature[:32] + s_plus_l, key.public_key, False),
+        (message, signature, IDENTITY, False),
+        (message, small_order, IDENTITY, True),
+    ]
+    for msg, sig, public_key, expected in cases:
+        outcomes = _on_both_paths(lambda: verify(msg, sig, public_key))
+        assert outcomes == [expected, expected], (msg, sig, public_key)
+    # the small-order case is decided by OpenSSL: libsodium refuses it alone
+    assert not crypto._sodium_accepts(SODIUM, message, small_order, IDENTITY)
+
+
+@needs_sodium
+def test_a_small_order_r_is_decided_by_openssl():
+    # R = S = 0 under the identity key: [0]B = identity + [h]identity
+    signature = IDENTITY + bytes(32)
+    assert not crypto._sodium_accepts(SODIUM, b"m", signature, IDENTITY)
+    assert _on_both_paths(lambda: verify(b"m", signature, IDENTITY)) == [True, True]
+
+
+def _fake_sodium(**replaced) -> types.SimpleNamespace:
+    """libsodium's four entry points that `crypto` calls, computed with
+    `cryptography`, with the named ones replaced."""
+
+    def seed_keypair(public, secret, seed):
+        public_key = Ed25519PrivateKey.from_private_bytes(seed).public_key().public_bytes_raw()
+        public.raw, secret.raw = public_key, seed + public_key
+        return 0
+
+    def sign_detached(signature, _length_out, message, length, secret):
+        signature.raw = Ed25519PrivateKey.from_private_bytes(secret[:32]).sign(message[:length])
+        return 0
+
+    def verify_detached(signature, message, length, public_key):
+        try:
+            Ed25519PublicKey.from_public_bytes(public_key).verify(signature, message[:length])
+        except InvalidSignature:
+            return -1
+        return 0
+
+    functions = {
+        "sodium_init": lambda: 0,
+        "crypto_sign_ed25519_seed_keypair": seed_keypair,
+        "crypto_sign_ed25519_detached": sign_detached,
+        "crypto_sign_ed25519_verify_detached": verify_detached,
+    }
+    functions.update(replaced)
+    return types.SimpleNamespace(**functions)
+
+
+# a library that is consistent with itself but is not Ed25519: its verify
+# accepts exactly what its sign returns, so only the byte comparison with
+# OpenSSL refuses it
+def _sign_other_bytes(signature, _length_out, message, length, secret):
+    signature.raw = hashlib.sha512(secret[32:] + message[:length]).digest()
+    return 0
+
+
+def _verify_other_bytes(signature, message, length, public_key):
+    return 0 if signature == hashlib.sha512(public_key + message[:length]).digest() else -1
+
+
+BROKEN_LIBRARIES = {
+    "verify accepts everything": {"crypto_sign_ed25519_verify_detached": lambda *args: 0},
+    "sign returns wrong bytes": {
+        "crypto_sign_ed25519_detached": _sign_other_bytes,
+        "crypto_sign_ed25519_verify_detached": _verify_other_bytes,
+    },
+}
+
+
+def test_a_library_that_matches_openssl_passes_the_known_answer_test():
+    fake = _fake_sodium()
+    assert crypto._checked_sodium(fake) is fake
+
+
+@pytest.mark.parametrize("fault", sorted(BROKEN_LIBRARIES))
+def test_a_broken_library_leaves_the_openssl_path_in_use(monkeypatch, fault):
+    fake = _fake_sodium(**BROKEN_LIBRARIES[fault])
+    assert crypto._checked_sodium(fake) is None
+    monkeypatch.setattr(crypto.ctypes, "CDLL", lambda soname: fake)
+    monkeypatch.setattr(crypto, "_SODIUM", crypto._load_sodium())
+    assert crypto._SODIUM is None
+    key = KeyPair.from_seed(hash_bytes(fault.encode()))
+    signature = sign(b"m", key)
+    assert signature == Ed25519PrivateKey.from_private_bytes(key.private_key).sign(b"m")
+    assert verify(b"m", signature, key.public_key)
+    assert not verify(b"m", bytes(64), key.public_key)
+    assert "_sodium_secret" not in vars(key)
