@@ -5,12 +5,16 @@ node at odd-width levels; a single-leaf tree's root is that leaf.
 
 Ed25519 (RFC 8032) runs on one of two backends with the same bytes and the
 same verdicts. When the host has libsodium (`libsodium.so.23`) and it
-passes a known-answer test against OpenSSL at import, `sign` and `verify`
-call it: on a 2-CPU x86-64 host, libsodium 1.0.18 signs in about 47 µs and
-verifies in about 95–118 µs, where OpenSSL through `cryptography` takes
-about 63 µs and 214–232 µs. Otherwise `_SODIUM` is None and both call
-`cryptography`, which is also the reference libsodium is checked against.
-There is no option to choose: a host without libsodium has only OpenSSL.
+reproduces RFC 8032 section 7.1 TEST 1 at import, it derives every public
+key, signs every `bytes` message and gives every acceptance: on a 2-CPU
+x86-64 host, libsodium 1.0.18 signs in about 47 µs and verifies in about
+95–118 µs, where OpenSSL through `cryptography` takes about 63 µs and
+214–232 µs. OpenSSL decides every input libsodium refuses, so every
+verdict is OpenSSL's. `cryptography` is imported only when OpenSSL is
+called: loading it costs about 7.5 MB of peak RSS, and a process that
+signs and accepts only valid signatures never needs it. Without
+libsodium, `_SODIUM` is None and OpenSSL does all of the work. There is no
+option to choose: a host without libsodium has only OpenSSL.
 """
 from __future__ import annotations
 
@@ -18,12 +22,10 @@ import ctypes
 import hashlib
 from dataclasses import dataclass
 from functools import cache, cached_property
+from typing import TYPE_CHECKING
 
-from cryptography.exceptions import InvalidSignature
-from cryptography.hazmat.primitives.asymmetric.ed25519 import (
-    Ed25519PrivateKey,
-    Ed25519PublicKey,
-)
+if TYPE_CHECKING:
+    from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 
 Digest = bytes
 
@@ -48,11 +50,13 @@ def hash_bytes(data: bytes) -> Digest:
 class KeyPair:
     """Ed25519 key pair; private_key is the 32-byte seed.
 
-    The signing key of the active backend is built on the first `sign` and
-    cached on the instance (outside `__eq__`, `__hash__` and `repr`, and
-    dropped by `__getstate__`): libsodium's 64-byte secret key
-    (`_sodium_secret`), or OpenSSL's parsed key (`_signer`). It is not built
-    eagerly: most derived keys never sign, and each cached key costs memory.
+    `from_seed` takes the public key from the active backend: libsodium's
+    `crypto_sign_ed25519_seed_keypair`, or OpenSSL. The signing key of the
+    active backend is built on the first `sign` and cached on the instance
+    (outside `__eq__`, `__hash__` and `repr`, and dropped by
+    `__getstate__`): libsodium's 64-byte secret key (`_sodium_secret`), or
+    OpenSSL's parsed key (`_signer`). It is not built eagerly: most derived
+    keys never sign, and each cached key costs memory.
     """
 
     public_key: bytes
@@ -62,8 +66,11 @@ class KeyPair:
     def from_seed(cls, seed: bytes) -> "KeyPair":
         if len(seed) != 32:
             raise MalformedKeyError(f"seed must be 32 bytes, got {len(seed)}")
-        priv = Ed25519PrivateKey.from_private_bytes(seed)
-        return cls(public_key=priv.public_key().public_bytes_raw(), private_key=seed)
+        if _SODIUM is None or not isinstance(seed, bytes):
+            public_key = _openssl_private_key(seed).public_key().public_bytes_raw()
+        else:
+            public_key = _sodium_secret_key(_SODIUM, seed)[32:]
+        return cls(public_key=public_key, private_key=seed)
 
     @classmethod
     @cache
@@ -89,7 +96,7 @@ class KeyPair:
 
     @cached_property
     def _signer(self) -> Ed25519PrivateKey:
-        return Ed25519PrivateKey.from_private_bytes(self.private_key)
+        return _openssl_private_key(self.private_key)
 
     @cached_property
     def _sodium_secret(self) -> bytes:
@@ -124,14 +131,13 @@ def verify(message: bytes, signature: bytes, public_key: bytes) -> bool:
     `h = SHA-512(R || A || M)`, a canonical `S` and a byte comparison of
     `R`, and libsodium also refuses a small-order or non-canonical `A` and
     a small-order `R`. Every input libsodium refuses, and every other
-    input, is decided by OpenSSL, so a forged signature costs two verifies.
+    input, is decided by OpenSSL, which is imported for it
+    (`_openssl_verify`), so a forged signature costs two verifies. A key
+    that is not 32 `bytes` raises here; OpenSSL parses a 32-byte key only
+    where it decides, and that parse refused none of 20,000 random keys.
     """
     if not isinstance(public_key, bytes) or len(public_key) != 32:
         raise MalformedKeyError("public key must be 32 raw bytes")
-    try:
-        pub = Ed25519PublicKey.from_public_bytes(public_key)
-    except ValueError as exc:
-        raise MalformedKeyError(str(exc)) from exc
     if (
         _SODIUM is not None
         and isinstance(message, bytes)
@@ -140,14 +146,7 @@ def verify(message: bytes, signature: bytes, public_key: bytes) -> bool:
         and _sodium_accepts(_SODIUM, message, signature, public_key)
     ):
         return True
-    try:
-        pub.verify(signature, message)
-        return True
-    except InvalidSignature:
-        return False
-    except ValueError:
-        # e.g. signature of the wrong length
-        return False
+    return _openssl_verify(message, signature, public_key)
 
 
 class MerkleTree:
@@ -191,6 +190,33 @@ def merkle_root(leaves: list[Digest]) -> Digest:
     return MerkleTree(leaves).root
 
 
+# `cryptography` is imported inside these two functions, not at module
+# level: loading OpenSSL costs about 7.5 MB of peak RSS, and a process with
+# libsodium calls them only for a verdict libsodium cannot give.
+def _openssl_private_key(seed: bytes) -> Ed25519PrivateKey:
+    from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
+
+    return Ed25519PrivateKey.from_private_bytes(seed)
+
+
+def _openssl_verify(message: bytes, signature: bytes, public_key: bytes) -> bool:
+    from cryptography.exceptions import InvalidSignature
+    from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
+
+    try:
+        pub = Ed25519PublicKey.from_public_bytes(public_key)
+    except ValueError as exc:
+        raise MalformedKeyError(str(exc)) from exc
+    try:
+        pub.verify(signature, message)
+        return True
+    except InvalidSignature:
+        return False
+    except ValueError:
+        # e.g. signature of the wrong length
+        return False
+
+
 # libsodium's soname on Debian and Ubuntu (package libsodium23). It is
 # loaded by that name: `ctypes.util.find_library` would start an `ldconfig`
 # subprocess and cost about 1 MB of memory.
@@ -229,10 +255,25 @@ def _sodium_accepts(lib, message: bytes, signature: bytes, public_key: bytes) ->
     ) == 0
 
 
+# RFC 8032 section 7.1, TEST 1: a seed, its public key, and its signature
+# of the empty message
+_RFC8032_SEED = bytes.fromhex(
+    "9d61b19deffd5a60ba844af492ec2cc44449c5697b326919703bac031cae7f60"
+)
+_RFC8032_PUBLIC_KEY = bytes.fromhex(
+    "d75a980182b10ab7d54bfed3c964073a0ee172f3daa62325af021a68f707511a"
+)
+_RFC8032_SIGNATURE = bytes.fromhex(
+    "e5564300c360ac729086e2cc806e828a84877f1eb8e5d974d873e06522490155"
+    "5fb8821590a33bacc61e39701cf9b46bd25bf5f0595bbe24655141438e7a100b"
+)
+
+
 def _checked_sodium(lib):
-    """`lib` with its Ed25519 functions typed, if it signs a fixed seed and
-    message to OpenSSL's exact bytes, accepts that signature and refuses it
-    with one bit flipped; otherwise None."""
+    """`lib` with its Ed25519 functions typed, if it reproduces RFC 8032
+    TEST 1: it derives the vector's public key from its seed, signs the
+    empty message to the vector's exact bytes, accepts that signature and
+    refuses it with one bit flipped; otherwise None."""
     try:
         for name, argtypes in _SODIUM_FUNCTIONS.items():
             function = getattr(lib, name)
@@ -241,16 +282,14 @@ def _checked_sodium(lib):
         return None
     if lib.sodium_init() < 0:
         return None
-    seed = hash_bytes(b"forensicross ed25519 known-answer seed")
-    message = b"forensicross ed25519 known-answer message"
-    reference = Ed25519PrivateKey.from_private_bytes(seed)
-    public_key = reference.public_key().public_bytes_raw()
-    signature = _sodium_sign(lib, message, _sodium_secret_key(lib, seed))
+    secret = _sodium_secret_key(lib, _RFC8032_SEED)
+    signature = _sodium_sign(lib, b"", secret)
     flipped = bytes([signature[0] ^ 1]) + signature[1:]
     if (
-        signature == reference.sign(message)
-        and _sodium_accepts(lib, message, signature, public_key)
-        and not _sodium_accepts(lib, message, flipped, public_key)
+        secret[32:] == _RFC8032_PUBLIC_KEY
+        and signature == _RFC8032_SIGNATURE
+        and _sodium_accepts(lib, b"", signature, _RFC8032_PUBLIC_KEY)
+        and not _sodium_accepts(lib, b"", flipped, _RFC8032_PUBLIC_KEY)
     ):
         return lib
     return None

@@ -155,6 +155,15 @@ def _at_least(value: int, minimum: int, name: str) -> int:
     return value
 
 
+def _list(value, context: str) -> list:
+    """`value` if it is a list; otherwise a ScenarioError naming the field,
+    so a scalar is never iterated and a string is never read letter by
+    letter."""
+    if not isinstance(value, list):
+        raise ScenarioError(f"{context} must be a list, got {type(value).__name__}")
+    return value
+
+
 def _check_mapping(value, context: str) -> None:
     if not isinstance(value, dict):
         raise ScenarioError(f"{context} must be a mapping, got {type(value).__name__}")
@@ -169,17 +178,18 @@ def _check_keys(mapping: dict, allowed: set[str], context: str) -> None:
 
 def policy_from_dict(data: dict) -> AccessPolicy:
     _check_keys(data, {"roles", "grants"}, "policy")
-    roles = list(_require(data, "roles", "policy"))
+    roles = _list(_require(data, "roles", "policy"), "policy.roles")
     grants: dict[tuple[str, int], set[Action]] = {}
-    for i, grant in enumerate(data.get("grants", [])):
+    for i, grant in enumerate(_list(data.get("grants", []), "policy.grants")):
         context = f"policy.grants[{i}]"
         _check_keys(grant, {"role", "stages", "actions"}, context)
         role = _require(grant, "role", context)
+        listed = _list(_require(grant, "actions", context), f"{context}.actions")
         try:
-            actions = {Action(a) for a in _require(grant, "actions", context)}
+            actions = {Action(a) for a in listed}
         except ValueError as exc:
             raise ScenarioError(f"{context}: {exc}") from exc
-        for stage in _require(grant, "stages", context):
+        for stage in _list(_require(grant, "stages", context), f"{context}.stages"):
             grants.setdefault((role, int(stage)), set()).update(actions)
     return AccessPolicy.build(roles, grants)
 
@@ -230,7 +240,7 @@ def scenario_from_dict(data: dict, name: str) -> Scenario:
 
     users = []
     user_names = set()
-    for i, u in enumerate(data.get("users", [])):
+    for i, u in enumerate(_list(data.get("users", []), "users")):
         context = f"users[{i}]"
         _check_keys(u, {"name", "chain", "role"}, context)
         user = UserSpec(
@@ -248,7 +258,7 @@ def scenario_from_dict(data: dict, name: str) -> Scenario:
     policy = policy_from_dict(data["policy"]) if "policy" in data else None
 
     workload = []
-    for i, w in enumerate(data.get("workload", [])):
+    for i, w in enumerate(_list(data.get("workload", []), "workload")):
         context = f"workload[{i}]"
         _check_keys(
             w,
@@ -268,7 +278,9 @@ def scenario_from_dict(data: dict, name: str) -> Scenario:
             raise ScenarioError(
                 f"{context}: workload references unknown chain {chain!r}"
             )
-        destinations = tuple(str(d) for d in w.get("destinations", []))
+        destinations = tuple(
+            str(d) for d in _list(w.get("destinations", []), f"{context}.destinations")
+        )
         for d in destinations:
             if d not in chains:
                 raise ScenarioError(
@@ -282,8 +294,9 @@ def scenario_from_dict(data: dict, name: str) -> Scenario:
         user = str(w.get("user", ""))
         if user and user not in user_names:
             raise ScenarioError(f"{context}: unknown user {user!r}")
-        for node_user in w.get("nodes", []):
-            if str(node_user) not in user_names:
+        nodes = tuple(str(x) for x in _list(w.get("nodes", []), f"{context}.nodes"))
+        for node_user in nodes:
+            if node_user not in user_names:
                 raise ScenarioError(f"{context}: unknown user {node_user!r} in nodes")
         workload.append(
             WorkloadAction(
@@ -295,13 +308,13 @@ def scenario_from_dict(data: dict, name: str) -> Scenario:
                 destinations=destinations,
                 op=op,
                 payload=str(w.get("payload", "")),
-                nodes=tuple(str(x) for x in w.get("nodes", [])),
+                nodes=nodes,
                 stage=_at_least(int(w.get("stage", 0)), 0, f"{context}.stage"),
             )
         )
 
     votes = []
-    for i, v in enumerate(data.get("votes", [])):
+    for i, v in enumerate(_list(data.get("votes", []), "votes")):
         context = f"votes[{i}]"
         _check_keys(v, {"case", "stage", "round", "chain", "vote", "reason"}, context)
         chain = str(_require(v, "chain", context))
@@ -313,8 +326,8 @@ def scenario_from_dict(data: dict, name: str) -> Scenario:
         votes.append(
             VoteSpec(
                 case=str(_require(v, "case", context)),
-                stage=int(_require(v, "stage", context)),
-                round=int(v.get("round", 1)),
+                stage=_at_least(int(_require(v, "stage", context)), 0, f"{context}.stage"),
+                round=_at_least(int(v.get("round", 1)), 0, f"{context}.round"),
                 chain=chain,
                 vote=vote,
                 reason=str(v.get("reason", "")),
@@ -322,7 +335,7 @@ def scenario_from_dict(data: dict, name: str) -> Scenario:
         )
 
     faults = []
-    for i, f in enumerate(data.get("faults", [])):
+    for i, f in enumerate(_list(data.get("faults", []), "faults")):
         context = f"faults[{i}]"
         kind = str(_require(f, "kind", context))
         if kind == FAULT_COMPROMISE:
@@ -349,7 +362,7 @@ def scenario_from_dict(data: dict, name: str) -> Scenario:
                     kind=kind,
                     chain=chain,
                     case=str(_require(f, "case", context)),
-                    stage=int(_require(f, "stage", context)),
+                    stage=_at_least(int(_require(f, "stage", context)), 0, f"{context}.stage"),
                     tx_index=_at_least(int(f.get("tx_index", 0)), 0, f"{context}.tx_index"),
                 )
             )
@@ -369,7 +382,7 @@ def scenario_from_dict(data: dict, name: str) -> Scenario:
         link_latency=_at_least(int(data.get("link_latency", 1)), 1, "link_latency"),
         block_times=block_times,
         pending_timeout=_at_least(int(data.get("pending_timeout", 50)), 1, "pending_timeout"),
-        max_ticks=int(data.get("max_ticks", 10_000)),
+        max_ticks=_at_least(int(data.get("max_ticks", 10_000)), 1, "max_ticks"),
         users=tuple(users),
         policy=policy,
         workload=tuple(sorted(workload, key=lambda a: a.tick)),

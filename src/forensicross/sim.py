@@ -640,11 +640,14 @@ class World:
         return origin.destination_chains
 
     def _bridge_access_control(self, origin: Transaction, payload, tick: int) -> tuple[str, ...]:
+        # from_canonical refuses bytes that are not canonical, so the digest
+        # of the carried bytes is policy.digest() without encoding it again
         policy = AccessPolicy.from_canonical(payload.policy_bytes)
         self.registry.store_policy(payload.case_number, origin.source_chain, policy)
         self.emit(
             tick, "policy_stored",
-            chain=BRIDGE_CHAIN_ID, case=payload.case_number, digest=policy.digest().hex(),
+            chain=BRIDGE_CHAIN_ID, case=payload.case_number,
+            digest=hash_bytes(payload.policy_bytes).hex(),
         )
         return origin.destination_chains
 
@@ -788,6 +791,7 @@ class World:
         )
 
     def _org_access_control(self, chain_id: str, tx: Transaction, payload, tick: int) -> None:
+        # as in _bridge_access_control, the carried bytes are canonical
         policy = AccessPolicy.from_canonical(payload.policy_bytes)
         try:
             self.org[chain_id].apply_policy(payload.case_number, policy)
@@ -799,7 +803,8 @@ class World:
             return
         self.emit(
             tick, "policy_stored",
-            chain=chain_id, case=payload.case_number, digest=policy.digest().hex(),
+            chain=chain_id, case=payload.case_number,
+            digest=hash_bytes(payload.policy_bytes).hex(),
         )
 
     def _org_stage_proposal(self, chain_id: str, tx: Transaction, payload, tick: int) -> None:

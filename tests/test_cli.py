@@ -85,6 +85,7 @@ def test_an_access_row_with_an_unknown_op_is_a_validation_error(tmp_path, scenar
 
 TAMPER_FAULT = {"tick": 45, "kind": "tamper-offchain", "chain": "B", "case": "C-1",
                 "stage": 2, "tx_index": 1}
+VOTE = {"case": "C-1", "stage": 2, "round": 1, "chain": "B", "vote": "approve"}
 
 # (edit of tamper_demo, the field the error must name); each of these used
 # to load and then fail inside World.run, or run silently
@@ -101,6 +102,12 @@ BELOW_MINIMUM = {
     ),
     # workload[9] is the first propose-stage row
     "workload_stage": (lambda d: d["workload"][9].update(stage=-1), "workload[9].stage"),
+    "vote_stage": (lambda d: d.update(votes=[{**VOTE, "stage": -1}]), "votes[0].stage"),
+    "vote_round": (lambda d: d.update(votes=[{**VOTE, "round": -1}]), "votes[0].round"),
+    "fault_stage": (
+        lambda d: d.update(faults=[{**TAMPER_FAULT, "stage": -1}]), "faults[0].stage"
+    ),
+    "max_ticks": (lambda d: d.update(max_ticks=-5), "max_ticks"),
 }
 
 
@@ -138,6 +145,32 @@ def test_an_entry_that_is_not_a_mapping_is_a_validation_error(
     edit, context = NOT_A_MAPPING[section]
     assert run_edited_tamper_demo(tmp_path, scenario_dir, edit) == EXIT_VALIDATION
     assert f"{context} must be a mapping" in capsys.readouterr().err
+
+
+# (edit of tamper_demo, the field the error must name); each used to raise
+# TypeError, or, for a string, iterate it letter by letter
+NOT_A_LIST = {
+    "users": (lambda d: d.update(users=5), "users"),
+    "workload": (lambda d: d.update(workload={"tick": 1}), "workload"),
+    "votes": (lambda d: d.update(votes=VOTE), "votes"),
+    "faults": (lambda d: d.update(faults=TAMPER_FAULT), "faults"),
+    # workload[0] is the create-case row, workload[2] the assign-query-nodes row
+    "destinations": (lambda d: d["workload"][0].update(destinations=5), "workload[0].destinations"),
+    "nodes": (lambda d: d["workload"][2].update(nodes="queryb"), "workload[2].nodes"),
+    "stages": (lambda d: d["policy"]["grants"][0].update(stages=3), "policy.grants[0].stages"),
+    "actions": (lambda d: d["policy"]["grants"][0].update(actions="read"), "policy.grants[0].actions"),
+    "roles": (lambda d: d["policy"].update(roles="investigator"), "policy.roles"),
+    "grants": (lambda d: d["policy"].update(grants={"role": "investigator"}), "policy.grants"),
+}
+
+
+@pytest.mark.parametrize("field_name", sorted(NOT_A_LIST))
+def test_a_list_field_that_is_not_a_list_is_a_validation_error(
+    tmp_path, scenario_dir, capsys, field_name
+):
+    edit, context = NOT_A_LIST[field_name]
+    assert run_edited_tamper_demo(tmp_path, scenario_dir, edit) == EXIT_VALIDATION
+    assert f"{context} must be a list" in capsys.readouterr().err
 
 
 def test_topology_table_rows_and_values(tmp_path, capsys):

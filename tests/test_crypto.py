@@ -1,8 +1,12 @@
 import ctypes
 import hashlib
+import os
 import pickle
 import random
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -297,6 +301,63 @@ def test_both_paths_give_the_same_verdicts(seed, message, bits, message_bit, sca
     assert not crypto._sodium_accepts(SODIUM, message, small_order, IDENTITY)
 
 
+@settings(max_examples=150, deadline=None)
+@given(seed=st.binary(min_size=32, max_size=32))
+def test_both_paths_derive_openssls_public_key(seed):
+    reference = Ed25519PrivateKey.from_private_bytes(seed).public_key().public_bytes_raw()
+    outcomes = _on_both_paths(lambda: KeyPair.from_seed(seed).public_key)
+    assert outcomes == [reference, reference]
+
+
+def test_the_pinned_rfc8032_vector_is_what_openssl_derives_and_signs():
+    # libsodium is checked against this vector at import, OpenSSL here
+    reference = Ed25519PrivateKey.from_private_bytes(crypto._RFC8032_SEED)
+    assert reference.public_key().public_bytes_raw() == crypto._RFC8032_PUBLIC_KEY
+    assert reference.sign(b"") == crypto._RFC8032_SIGNATURE
+
+
+def _in_a_fresh_interpreter(code: str) -> str:
+    """stdout of `code` run by a new interpreter that imports this tree's
+    `forensicross`."""
+    source = str(Path(crypto.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    return done.stdout
+
+
+LOADED_OPENSSL = "print('cryptography' in sys.modules)"
+
+
+@needs_sodium
+def test_a_run_with_libsodium_never_loads_openssl(scenario_dir, tmp_path):
+    # a top-level `cryptography` import anywhere in the package would put
+    # its 7.5 MB back into every process
+    scenario, out = scenario_dir / "tamper_demo.yaml", tmp_path / "out"
+    code = f"""import sys
+import forensicross
+from forensicross.cli import main
+assert main(["run", "--scenario", {str(scenario)!r}, "--out", {str(out)!r}]) == 0
+{LOADED_OPENSSL}"""
+    # the last line; `run` prints its summary first
+    assert _in_a_fresh_interpreter(code).splitlines()[-1] == "False"
+
+
+@needs_sodium
+def test_a_forged_signature_is_refused_by_openssl_which_it_loads():
+    code = f"""import sys
+from forensicross.crypto import KeyPair, sign, verify
+key = KeyPair.derive("forged")
+signature = sign(b"m", key)
+print(verify(b"m", signature, key.public_key))
+{LOADED_OPENSSL}
+print(verify(b"n", signature, key.public_key))
+{LOADED_OPENSSL}"""
+    assert _in_a_fresh_interpreter(code).split() == ["True", "False", "False", "True"]
+
+
 @needs_sodium
 def test_a_small_order_r_is_decided_by_openssl():
     # R = S = 0 under the identity key: [0]B = identity + [h]identity
@@ -337,7 +398,7 @@ def _fake_sodium(**replaced) -> types.SimpleNamespace:
 
 # a library that is consistent with itself but is not Ed25519: its verify
 # accepts exactly what its sign returns, so only the byte comparison with
-# OpenSSL refuses it
+# the RFC 8032 vector refuses it
 def _sign_other_bytes(signature, _length_out, message, length, secret):
     signature.raw = hashlib.sha512(secret[32:] + message[:length]).digest()
     return 0
@@ -347,8 +408,17 @@ def _verify_other_bytes(signature, message, length, public_key):
     return 0 if signature == hashlib.sha512(public_key + message[:length]).digest() else -1
 
 
+# a library that derives another seed's public key but signs correctly
+def _derive_other_key(public, secret, seed):
+    public_key = Ed25519PrivateKey.from_private_bytes(hash_bytes(seed)).public_key()
+    public.raw = public_key.public_bytes_raw()
+    secret.raw = seed + public.raw
+    return 0
+
+
 BROKEN_LIBRARIES = {
     "verify accepts everything": {"crypto_sign_ed25519_verify_detached": lambda *args: 0},
+    "derives the wrong public key": {"crypto_sign_ed25519_seed_keypair": _derive_other_key},
     "sign returns wrong bytes": {
         "crypto_sign_ed25519_detached": _sign_other_bytes,
         "crypto_sign_ed25519_verify_detached": _verify_other_bytes,
