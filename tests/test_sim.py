@@ -1,3 +1,4 @@
+import hashlib
 import json
 from dataclasses import replace
 from types import SimpleNamespace
@@ -179,6 +180,34 @@ def test_mesh_rejects_bridge_only_actions():
 def test_load_scenario_matches_the_pure_python_loader(path):
     reference = yaml.load(path.read_text(encoding="utf-8"), Loader=yaml.SafeLoader)
     assert load_scenario(path) == scenario_from_dict(reference, name=path.stem)
+
+
+# sha256 of `loaded_repr` for each bundled scenario, recorded before the
+# loader read its fields through one table; a loader change that keeps
+# these keeps every value, type and default it hands the simulator
+SCENARIO_REPR_SHA256 = {
+    "bridge_small": "eb6cd27ff481e00100aa05868a643090bbe509364c85d61c6aa3a1e299095354",
+    "faulty_nodes": "2efe5fe9490b9f9e4ab33ff91137fc47fbccb58361f70511b581fc44332d1b4b",
+    "invalid_topology": "4fd1bd8d9a182e3a2baba2d713859e12a4321d479589a05575e4a6c0c4ceff24",
+    "lifecycle_full": "9112fbd5981fa23452bcfb572636fda234a2e1a04dd5e1b9cb0702a2fa6b6018",
+    "mesh_small": "01b60cc574d8f83e3c3104b2d6267d7ca1e6cca8fa23d03bfb513639e37757d7",
+    "tamper_demo": "23b37ff540ec58cf08b1b773e6d2c81409e409d483c3bcaee96ccebe46034422",
+}
+
+
+def loaded_repr(path) -> str:
+    """`repr(load_scenario(path))` with the policy shown as its canonical
+    bytes: a policy's frozensets print in an order that changes with the
+    process's hash seed."""
+    scenario = load_scenario(path)
+    policy = scenario.policy.canonical_bytes().hex() if scenario.policy else None
+    return repr(replace(scenario, policy=policy))
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIO_REPR_SHA256))
+def test_loaded_scenarios_match_pinned_reprs(scenario_dir, name):
+    text = loaded_repr(scenario_dir / f"{name}.yaml")
+    assert hashlib.sha256(text.encode()).hexdigest() == SCENARIO_REPR_SHA256[name]
 
 
 def test_load_scenario_uses_libyaml_when_installed_and_falls_back(monkeypatch, scenario_dir):
