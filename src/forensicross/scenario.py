@@ -3,12 +3,24 @@
 A scenario is a YAML mapping with the topology, timing parameters, users,
 one access policy, a timed workload, scripted votes, and fault injections.
 Identical scenarios produce byte-identical event logs and metrics.
+
+Schema rule: every value is read as its declared type, with no coercion.
+A row (a user, workload action, vote or fault) may have exactly its
+class's field names as keys, a key it leaves out takes the class's
+default, and the field's annotation picks the reader: `int` takes an
+exact integer (not a bool or a float), `str` a string, and
+`tuple[str, ...]` a list of strings. The top-level, topology and policy
+fields go through the same readers. The least value of every integer
+field is in one table, `MINIMUMS`. Any other value is a `ScenarioError`
+that names the field, such as `workload[3].tick`.
 """
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
+from functools import partial
 from pathlib import Path
+from typing import get_type_hints
 
 import yaml
 
@@ -83,7 +95,8 @@ class WorkloadAction:
 class VoteSpec:
     case: str
     stage: int
-    round: int
+    # keyword-only, so it can have a default and keep its place in the repr
+    round: int = field(default=1, kw_only=True)
     chain: str
     vote: str
     reason: str = ""
@@ -91,8 +104,8 @@ class VoteSpec:
 
 @dataclass(frozen=True)
 class FaultSpec:
-    tick: int
-    kind: str
+    tick: int = 0
+    kind: str = ""
     node: str = ""
     rule: str = RULE_EQUIVOCATE
     chain: str = ""
@@ -140,254 +153,232 @@ class Scenario:
         return self.block_times.get(chain_id, self.block_times.get("default", 1))
 
 
-def _require(mapping: dict, key: str, context: str):
-    _check_mapping(mapping, context)
-    if key not in mapping:
-        raise ScenarioError(f"{context}: missing required key {key!r}")
-    return mapping[key]
+# the least value each integer field may take, by field name
+MINIMUMS = {
+    **dict.fromkeys(("tick", "stage", "stages", "round", "tx_index"), 0),
+    **dict.fromkeys(("chains", "nodes_per_chain", "mutual_per_chain", "bridge_nodes",
+                     "bridge_mutual", "stage_count", "link_latency", "pending_timeout",
+                     "max_ticks", "block_time"), 1),
+}
 
 
-def _at_least(value: int, minimum: int, name: str) -> int:
-    """`value` if it is at least `minimum`; otherwise a ScenarioError naming
-    the field, so an out-of-range number is refused at load, not in a run."""
-    if value < minimum:
-        raise ScenarioError(f"{name} must be >= {minimum}, got {value}")
+def _exact(kind: type, noun: str, value, context: str, name: str):
+    # exact: YAML reads `true` as a bool, which Python counts as an int
+    if type(value) is not kind:
+        raise ScenarioError(f"{context}.{name} must be {noun}, got {type(value).__name__}")
     return value
 
 
-def _list(value, context: str) -> list:
-    """`value` if it is a list; otherwise a ScenarioError naming the field,
-    so a scalar is never iterated and a string is never read letter by
-    letter."""
-    if not isinstance(value, list):
-        raise ScenarioError(f"{context} must be a list, got {type(value).__name__}")
+_str = partial(_exact, str, "a string")
+# a list, so a scalar is never iterated and a string never read letter by letter
+_list = partial(_exact, list, "a list")
+
+
+def _int(value, context: str, name: str) -> int:
+    _exact(int, "an integer", value, context, name)
+    minimum = MINIMUMS.get(name)
+    if minimum is not None and value < minimum:
+        raise ScenarioError(f"{context}.{name} must be >= {minimum}, got {value}")
     return value
 
 
-def _check_mapping(value, context: str) -> None:
-    if not isinstance(value, dict):
-        raise ScenarioError(f"{context} must be a mapping, got {type(value).__name__}")
+def _as_is(value, context: str, name: str):
+    return value
 
 
-def _check_keys(mapping: dict, allowed: set[str], context: str) -> None:
-    _check_mapping(mapping, context)
-    unknown = set(mapping) - allowed
+def _tuple_of(read):
+    """A reader for a list whose every item `read` takes, giving a tuple."""
+    def read_list(value, context: str, name: str) -> tuple:
+        return tuple(read(item, context, name) for item in _list(value, context, name))
+    return read_list
+
+
+def _block_times(value, context: str, name: str) -> dict[str, int]:
+    """One block time for every chain, or a mapping from chain to its own."""
+    if isinstance(value, dict):
+        return {chain: _int(time, context, name) for chain, time in value.items()}
+    return {"default": _int(value, context, name)}
+
+
+def _read_fields(raw, schema: dict, context: str) -> dict:
+    """Mapping `raw` read by `schema`, key -> (reader, required). A key that
+    `raw` leaves out is left out, so the caller's default applies."""
+    if not isinstance(raw, dict):
+        raise ScenarioError(f"{context} must be a mapping, got {type(raw).__name__}")
+    unknown = raw.keys() - schema.keys()
     if unknown:
-        raise ScenarioError(f"{context}: unknown keys {sorted(unknown)}")
+        raise ScenarioError(f"{context}: unknown keys {sorted(unknown, key=str)}")
+    for key, (_read, required) in schema.items():
+        if required and key not in raw:
+            raise ScenarioError(f"{context}: missing required key {key!r}")
+    return {key: schema[key][0](value, context, key) for key, value in raw.items()}
+
+
+_strs = _tuple_of(_str)
+_READERS = {int: _int, str: _str, tuple[str, ...]: _strs}
+
+# row class -> {field: (the reader its annotation picks, required: it has no default)}
+ROW_FIELDS = {
+    cls: {
+        f.name: (_READERS[get_type_hints(cls)[f.name]], f.default is MISSING)
+        for f in fields(cls)
+    }
+    for cls in (UserSpec, WorkloadAction, VoteSpec, FaultSpec)
+}
+
+# each fault kind reads only its own keys, and requires some of them
+FAULT_FIELDS = {
+    kind: {key: (ROW_FIELDS[FaultSpec][key][0], key in required) for key in keys}
+    for kind, keys, required in (
+        (FAULT_COMPROMISE, ("tick", "kind", "node", "rule"), {"kind", "node"}),
+        (FAULT_TAMPER, ("tick", "kind", "chain", "case", "stage", "tx_index"),
+         {"tick", "kind", "chain", "case", "stage"}),
+    )
+}
+
+TOPOLOGY_FIELDS = {
+    "chains": (_int, True),
+    "nodes_per_chain": (_int, True),
+    "mutual_per_chain": (_int, True),
+    "bridge_nodes": (_int, False),
+    "bridge_mutual": (_int, False),
+}
+
+POLICY_FIELDS = {"roles": (_strs, True), "grants": (_list, False)}
+GRANT_FIELDS = {
+    "role": (_str, True),
+    "stages": (_tuple_of(_int), True),
+    "actions": (_strs, True),
+}
+
+# topology and policy are read by their own tables; the row sections row by row
+SCENARIO_FIELDS = {
+    "name": (_str, False),
+    "seed": (_int, False),
+    "design": (_str, True),
+    "topology": (_as_is, True),
+    "stage_count": (_int, False),
+    "link_latency": (_int, False),
+    "block_time": (_block_times, False),
+    "pending_timeout": (_int, False),
+    "max_ticks": (_int, False),
+    "users": (_list, False),
+    "policy": (_as_is, False),
+    "workload": (_list, False),
+    "votes": (_list, False),
+    "faults": (_list, False),
+}
+
+
+def _rows(top: dict, section: str, cls) -> list:
+    """Each row of `section`, read as a `cls`."""
+    return [
+        cls(**_read_fields(raw, ROW_FIELDS[cls], f"{section}[{i}]"))
+        for i, raw in enumerate(top.get(section, ()))
+    ]
 
 
 def policy_from_dict(data: dict) -> AccessPolicy:
-    _check_keys(data, {"roles", "grants"}, "policy")
-    roles = _list(_require(data, "roles", "policy"), "policy.roles")
+    policy = _read_fields(data, POLICY_FIELDS, "policy")
     grants: dict[tuple[str, int], set[Action]] = {}
-    for i, grant in enumerate(_list(data.get("grants", []), "policy.grants")):
+    for i, raw in enumerate(policy.get("grants", ())):
         context = f"policy.grants[{i}]"
-        _check_keys(grant, {"role", "stages", "actions"}, context)
-        role = _require(grant, "role", context)
-        listed = _list(_require(grant, "actions", context), f"{context}.actions")
+        grant = _read_fields(raw, GRANT_FIELDS, context)
+        role = grant["role"]
+        if role not in policy["roles"]:
+            raise ScenarioError(f"{context}.role {role!r} is not in policy.roles")
         try:
-            actions = {Action(a) for a in listed}
+            actions = {Action(a) for a in grant["actions"]}
         except ValueError as exc:
             raise ScenarioError(f"{context}: {exc}") from exc
-        for stage in _list(_require(grant, "stages", context), f"{context}.stages"):
-            grants.setdefault((role, int(stage)), set()).update(actions)
-    return AccessPolicy.build(roles, grants)
+        for stage in grant["stages"]:
+            grants.setdefault((role, stage), set()).update(actions)
+    return AccessPolicy.build(list(policy["roles"]), grants)
 
 
 def scenario_from_dict(data: dict, name: str) -> Scenario:
-    if not isinstance(data, dict):
-        raise ScenarioError("scenario file must be a mapping")
-    _check_keys(
-        data,
-        {
-            "name", "seed", "design", "topology", "stage_count", "link_latency",
-            "block_time", "pending_timeout", "max_ticks", "users", "policy",
-            "workload", "votes", "faults",
-        },
-        "scenario",
-    )
+    top = _read_fields(data, SCENARIO_FIELDS, "scenario")
     try:
-        design = Design(_require(data, "design", "scenario"))
+        design = Design(top["design"])
     except ValueError as exc:
         raise ScenarioError(f"scenario: {exc}") from exc
-
-    topo = _require(data, "topology", "scenario")
-    _check_keys(
-        topo,
-        {"chains", "nodes_per_chain", "mutual_per_chain", "bridge_nodes", "bridge_mutual"},
-        "topology",
-    )
-    k = int(_require(topo, "chains", "topology"))
-    n = int(_require(topo, "nodes_per_chain", "topology"))
-    n_i = int(_require(topo, "mutual_per_chain", "topology"))
-    m = int(topo.get("bridge_nodes", 6 * k + 1))
-    b_i = int(topo.get("bridge_mutual", k * n_i))
-
+    topo = _read_fields(top["topology"], TOPOLOGY_FIELDS, "topology")
+    k, n_i = topo["chains"], topo["mutual_per_chain"]
     chains = set(chain_names(k))
 
-    block_time_raw = data.get("block_time", 1)
-    if isinstance(block_time_raw, int):
-        block_times = {"default": block_time_raw}
-    elif isinstance(block_time_raw, dict):
-        bad = set(block_time_raw) - chains - {"default", BRIDGE_CHAIN_ID}
-        if bad:
-            raise ScenarioError(f"block_time: unknown chains {sorted(bad)}")
-        block_times = {str(c): int(v) for c, v in block_time_raw.items()}
-    else:
-        raise ScenarioError("block_time must be an integer or mapping")
-    if any(v < 1 for v in block_times.values()):
-        raise ScenarioError("block times must be >= 1")
+    block_times = top.get("block_time", {"default": 1})
+    bad = block_times.keys() - chains - {"default", BRIDGE_CHAIN_ID}
+    if bad:
+        raise ScenarioError(f"block_time: unknown chains {sorted(bad, key=str)}")
 
-    users = []
+    users = _rows(top, "users", UserSpec)
     user_names = set()
-    for i, u in enumerate(_list(data.get("users", []), "users")):
-        context = f"users[{i}]"
-        _check_keys(u, {"name", "chain", "role"}, context)
-        user = UserSpec(
-            name=str(_require(u, "name", context)),
-            chain=str(_require(u, "chain", context)),
-            role=str(_require(u, "role", context)),
-        )
+    for i, user in enumerate(users):
         if user.chain not in chains:
-            raise ScenarioError(f"{context}: unknown chain {user.chain!r}")
+            raise ScenarioError(f"users[{i}]: unknown chain {user.chain!r}")
         if user.name in user_names:
-            raise ScenarioError(f"{context}: duplicate user {user.name!r}")
+            raise ScenarioError(f"users[{i}]: duplicate user {user.name!r}")
         user_names.add(user.name)
-        users.append(user)
 
-    policy = policy_from_dict(data["policy"]) if "policy" in data else None
+    policy = policy_from_dict(top["policy"]) if "policy" in top else None
 
-    workload = []
-    for i, w in enumerate(_list(data.get("workload", []), "workload")):
+    workload = _rows(top, "workload", WorkloadAction)
+    for i, a in enumerate(workload):
         context = f"workload[{i}]"
-        _check_keys(
-            w,
-            {"tick", "action", "chain", "user", "case", "destinations", "op",
-             "payload", "nodes", "stage"},
-            context,
-        )
-        action = str(_require(w, "action", context))
-        if action not in WORKLOAD_ACTIONS:
-            raise ScenarioError(f"{context}: unknown action {action!r}")
-        if design is Design.MESH and action in BRIDGE_ONLY_ACTIONS:
-            raise ScenarioError(
-                f"{context}: action {action!r} requires the bridge design"
-            )
-        chain = str(_require(w, "chain", context))
-        if chain not in chains:
-            raise ScenarioError(
-                f"{context}: workload references unknown chain {chain!r}"
-            )
-        destinations = tuple(
-            str(d) for d in _list(w.get("destinations", []), f"{context}.destinations")
-        )
-        for d in destinations:
-            if d not in chains:
-                raise ScenarioError(
-                    f"{context}: workload references unknown chain {d!r}"
-                )
-        op = str(w.get("op", ""))
-        if action == ACTION_ACCESS and op and op not in ACCESS_OPS:
-            raise ScenarioError(
-                f"{context}: op {op!r} is not one of {sorted(ACCESS_OPS)}"
-            )
-        user = str(w.get("user", ""))
-        if user and user not in user_names:
-            raise ScenarioError(f"{context}: unknown user {user!r}")
-        nodes = tuple(str(x) for x in _list(w.get("nodes", []), f"{context}.nodes"))
-        for node_user in nodes:
+        if a.action not in WORKLOAD_ACTIONS:
+            raise ScenarioError(f"{context}: unknown action {a.action!r}")
+        if design is Design.MESH and a.action in BRIDGE_ONLY_ACTIONS:
+            raise ScenarioError(f"{context}: action {a.action!r} requires the bridge design")
+        for chain in (a.chain, *a.destinations):
+            if chain not in chains:
+                raise ScenarioError(f"{context}: workload references unknown chain {chain!r}")
+        if a.action == ACTION_ACCESS and a.op and a.op not in ACCESS_OPS:
+            raise ScenarioError(f"{context}: op {a.op!r} is not one of {sorted(ACCESS_OPS)}")
+        if a.user and a.user not in user_names:
+            raise ScenarioError(f"{context}: unknown user {a.user!r}")
+        for node_user in a.nodes:
             if node_user not in user_names:
                 raise ScenarioError(f"{context}: unknown user {node_user!r} in nodes")
-        workload.append(
-            WorkloadAction(
-                tick=_at_least(int(_require(w, "tick", context)), 0, f"{context}.tick"),
-                action=action,
-                chain=chain,
-                user=user,
-                case=str(w.get("case", "")),
-                destinations=destinations,
-                op=op,
-                payload=str(w.get("payload", "")),
-                nodes=nodes,
-                stage=_at_least(int(w.get("stage", 0)), 0, f"{context}.stage"),
-            )
-        )
 
-    votes = []
-    for i, v in enumerate(_list(data.get("votes", []), "votes")):
-        context = f"votes[{i}]"
-        _check_keys(v, {"case", "stage", "round", "chain", "vote", "reason"}, context)
-        chain = str(_require(v, "chain", context))
-        if chain not in chains:
-            raise ScenarioError(f"{context}: unknown chain {chain!r}")
-        vote = str(_require(v, "vote", context))
-        if vote not in ("approve", "reject"):
-            raise ScenarioError(f"{context}: vote must be approve or reject")
-        votes.append(
-            VoteSpec(
-                case=str(_require(v, "case", context)),
-                stage=_at_least(int(_require(v, "stage", context)), 0, f"{context}.stage"),
-                round=_at_least(int(v.get("round", 1)), 0, f"{context}.round"),
-                chain=chain,
-                vote=vote,
-                reason=str(v.get("reason", "")),
-            )
-        )
+    votes = _rows(top, "votes", VoteSpec)
+    for i, vote in enumerate(votes):
+        if vote.chain not in chains:
+            raise ScenarioError(f"votes[{i}]: unknown chain {vote.chain!r}")
+        if vote.vote not in ("approve", "reject"):
+            raise ScenarioError(f"votes[{i}]: vote must be approve or reject")
 
     faults = []
-    for i, f in enumerate(_list(data.get("faults", []), "faults")):
+    for i, raw in enumerate(top.get("faults", ())):
         context = f"faults[{i}]"
-        kind = str(_require(f, "kind", context))
-        if kind == FAULT_COMPROMISE:
-            _check_keys(f, {"tick", "kind", "node", "rule"}, context)
-            rule = str(f.get("rule", RULE_EQUIVOCATE))
-            if rule not in (RULE_EQUIVOCATE, RULE_DROP):
-                raise ScenarioError(f"{context}: unknown corruption rule {rule!r}")
-            faults.append(
-                FaultSpec(
-                    tick=_at_least(int(f.get("tick", 0)), 0, f"{context}.tick"),
-                    kind=kind,
-                    node=str(_require(f, "node", context)),
-                    rule=rule,
-                )
-            )
-        elif kind == FAULT_TAMPER:
-            _check_keys(f, {"tick", "kind", "chain", "case", "stage", "tx_index"}, context)
-            chain = str(_require(f, "chain", context))
-            if chain not in chains:
-                raise ScenarioError(f"{context}: unknown chain {chain!r}")
-            faults.append(
-                FaultSpec(
-                    tick=_at_least(int(_require(f, "tick", context)), 0, f"{context}.tick"),
-                    kind=kind,
-                    chain=chain,
-                    case=str(_require(f, "case", context)),
-                    stage=_at_least(int(_require(f, "stage", context)), 0, f"{context}.stage"),
-                    tx_index=_at_least(int(f.get("tx_index", 0)), 0, f"{context}.tx_index"),
-                )
-            )
-        else:
+        # typed by every fault field first, so the kind is a string, then
+        # read again by the keys of that kind
+        kind = _read_fields(raw, ROW_FIELDS[FaultSpec], context).get("kind")
+        if kind not in FAULT_FIELDS:
             raise ScenarioError(f"{context}: unknown fault kind {kind!r}")
+        fault = FaultSpec(**_read_fields(raw, FAULT_FIELDS[kind], context))
+        if kind == FAULT_COMPROMISE and fault.rule not in (RULE_EQUIVOCATE, RULE_DROP):
+            raise ScenarioError(f"{context}: unknown corruption rule {fault.rule!r}")
+        if kind == FAULT_TAMPER and fault.chain not in chains:
+            raise ScenarioError(f"{context}: unknown chain {fault.chain!r}")
+        faults.append(fault)
 
+    timing = ("stage_count", "link_latency", "pending_timeout", "max_ticks")
     return Scenario(
-        name=str(data.get("name", name)),
-        seed=int(data.get("seed", 0)),
+        name=top.get("name", name),
+        seed=top.get("seed", 0),
         design=design,
         k=k,
-        nodes_per_chain=n,
+        nodes_per_chain=topo["nodes_per_chain"],
         mutual_per_chain=n_i,
-        bridge_nodes=m,
-        bridge_mutual=b_i,
-        stage_count=_at_least(int(data.get("stage_count", 5)), 1, "stage_count"),
-        link_latency=_at_least(int(data.get("link_latency", 1)), 1, "link_latency"),
+        bridge_nodes=topo.get("bridge_nodes", 6 * k + 1),
+        bridge_mutual=topo.get("bridge_mutual", k * n_i),
         block_times=block_times,
-        pending_timeout=_at_least(int(data.get("pending_timeout", 50)), 1, "pending_timeout"),
-        max_ticks=_at_least(int(data.get("max_ticks", 10_000)), 1, "max_ticks"),
         users=tuple(users),
         policy=policy,
         workload=tuple(sorted(workload, key=lambda a: a.tick)),
         votes=tuple(votes),
         faults=tuple(faults),
+        **{key: top[key] for key in timing if key in top},
     )
 
 

@@ -1,10 +1,20 @@
+import contextlib
+import copy
 import csv
+import functools
+import io
 import json
+import operator
+import tempfile
+from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from forensicross.cli import EXIT_USAGE, EXIT_VALIDATION, main
+from conftest import SCENARIOS
+from forensicross.cli import EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 from forensicross.errors import ScenarioError
 from forensicross.scenario import load_scenario, scenario_from_dict
 
@@ -108,6 +118,58 @@ BELOW_MINIMUM = {
         lambda d: d.update(faults=[{**TAMPER_FAULT, "stage": -1}]), "faults[0].stage"
     ),
     "max_ticks": (lambda d: d.update(max_ticks=-5), "max_ticks"),
+    # these four used to load and then raise ValueError while the world was
+    # built: from TopologyParams, or from encoding the policy
+    "nodes_per_chain": (
+        lambda d: d["topology"].update(nodes_per_chain=0), "topology.nodes_per_chain"
+    ),
+    "mutual_per_chain": (
+        lambda d: d["topology"].update(mutual_per_chain=0), "topology.mutual_per_chain"
+    ),
+    "bridge_mutual": (lambda d: d["topology"].update(bridge_mutual=-1), "topology.bridge_mutual"),
+    "grant_stage": (
+        lambda d: d["policy"]["grants"][0].update(stages=[-1]), "policy.grants[0].stages"
+    ),
+}
+
+
+# (edit of tamper_demo, the start of the error message); each used to raise
+# ValueError or TypeError out of a bare int(...), or, from "stage_float" on,
+# to run on a coerced value: stage 1, case "['C-1']", reason "None", block time 1
+WRONG_TYPE = {
+    "tick": (lambda d: d["workload"][0].update(tick="abc"), "workload[0].tick must be an integer"),
+    "seed": (lambda d: d.update(seed="x"), "scenario.seed must be an integer"),
+    "chains_null": (
+        lambda d: d["topology"].update(chains=None), "topology.chains must be an integer"
+    ),
+    "chains_str": (
+        lambda d: d["topology"].update(chains="three"), "topology.chains must be an integer"
+    ),
+    "bridge_nodes": (
+        lambda d: d["topology"].update(bridge_nodes="x"), "topology.bridge_nodes must be an integer"
+    ),
+    "grant_stages": (
+        lambda d: d["policy"]["grants"][0].update(stages=["x"]),
+        "policy.grants[0].stages must be an integer",
+    ),
+    "block_time_entry": (
+        lambda d: d.update(block_time={"A": "x"}), "scenario.block_time must be an integer"
+    ),
+    "fault_stage": (
+        lambda d: d.update(faults=[{**TAMPER_FAULT, "stage": "x"}]),
+        "faults[0].stage must be an integer",
+    ),
+    "stage_float": (
+        lambda d: d["workload"][9].update(stage=1.7), "workload[9].stage must be an integer"
+    ),
+    "stage_bool": (
+        lambda d: d["workload"][9].update(stage=True), "workload[9].stage must be an integer"
+    ),
+    "case_list": (lambda d: d["workload"][0].update(case=["C-1"]), "workload[0].case must be a string"),
+    "vote_reason": (
+        lambda d: d.update(votes=[{**VOTE, "reason": None}]), "votes[0].reason must be a string"
+    ),
+    "block_time_bool": (lambda d: d.update(block_time=True), "scenario.block_time must be an integer"),
 }
 
 
@@ -164,6 +226,22 @@ NOT_A_LIST = {
 }
 
 
+@pytest.mark.parametrize("row", sorted(WRONG_TYPE))
+def test_a_value_of_the_wrong_type_is_a_validation_error(tmp_path, scenario_dir, capsys, row):
+    edit, message = WRONG_TYPE[row]
+    assert run_edited_tamper_demo(tmp_path, scenario_dir, edit) == EXIT_VALIDATION
+    assert message in capsys.readouterr().err
+
+
+def test_a_grant_for_an_undeclared_role_is_a_validation_error(tmp_path, scenario_dir, capsys):
+    # used to raise MalformedPolicy out of load_scenario
+    def edit(data):
+        data["policy"]["grants"][0].update(role="ghost")
+
+    assert run_edited_tamper_demo(tmp_path, scenario_dir, edit) == EXIT_VALIDATION
+    assert "policy.grants[0].role 'ghost' is not in policy.roles" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("field_name", sorted(NOT_A_LIST))
 def test_a_list_field_that_is_not_a_list_is_a_validation_error(
     tmp_path, scenario_dir, capsys, field_name
@@ -171,6 +249,66 @@ def test_a_list_field_that_is_not_a_list_is_a_validation_error(
     edit, context = NOT_A_LIST[field_name]
     assert run_edited_tamper_demo(tmp_path, scenario_dir, edit) == EXIT_VALIDATION
     assert f"{context} must be a list" in capsys.readouterr().err
+
+
+def _paths(node, path=()):
+    """(path, value) for every key and list item under `node`."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, value in items:
+        yield path + (key,), value
+        yield from _paths(value, path + (key,))
+
+
+# one value of each YAML type, for a change of a value's type
+YAML_VALUES = (None, True, 1.5, 7, "x", [], {})
+
+
+@st.composite
+def mutated(draw, data):
+    """`data` after one change at a drawn key or list item: dropped, given a
+    value of another type, negated or zeroed if an int, or wrapped in a
+    list."""
+    data = copy.deepcopy(data)
+    path, value = draw(st.sampled_from(list(_paths(data))))
+    parent = functools.reduce(operator.getitem, path[:-1], data)
+    changes = ["drop", "retype", "wrap"] + (["negate", "zero"] if type(value) is int else [])
+    change = draw(st.sampled_from(changes))
+    if change == "drop":
+        del parent[path[-1]]
+    elif change == "retype":
+        others = [v for v in YAML_VALUES if type(v) is not type(value)]
+        parent[path[-1]] = draw(st.sampled_from(others))
+    elif change == "wrap":
+        parent[path[-1]] = [value]
+    else:
+        parent[path[-1]] = -value if change == "negate" else 0
+    return data
+
+
+BUNDLED_DATA = {
+    path.stem: yaml.safe_load(path.read_text(encoding="utf-8"))
+    for path in sorted(SCENARIOS.glob("*.yaml"))
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED_DATA))
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_a_mutated_bundled_scenario_runs_or_is_a_validation_error(name, data):
+    edited = data.draw(mutated(BUNDLED_DATA[name]))
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"{name}.yaml"
+        path.write_text(yaml.safe_dump(edited), encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["run", "--scenario", str(path), "--out", str(Path(tmp) / "out")])
+    assert code in (EXIT_OK, EXIT_VALIDATION)
+    assert "Traceback" not in err.getvalue()
 
 
 def test_topology_table_rows_and_values(tmp_path, capsys):

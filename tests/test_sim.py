@@ -1,6 +1,6 @@
 import hashlib
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import pytest
@@ -25,11 +25,21 @@ from forensicross.payloads import (
 )
 from forensicross.scenario import (
     FAULT_COMPROMISE,
+    FAULT_FIELDS,
     FAULT_TAMPER,
+    GRANT_FIELDS,
+    MINIMUMS,
+    POLICY_FIELDS,
+    ROW_FIELDS,
+    SCENARIO_FIELDS,
+    TOPOLOGY_FIELDS,
     FaultSpec,
     RULE_DROP,
     RULE_EQUIVOCATE,
+    UserSpec,
+    VoteSpec,
     WORKLOAD_ACTIONS,
+    WorkloadAction,
     load_scenario,
     scenario_from_dict,
 )
@@ -399,6 +409,18 @@ def test_payload_tables_cover_every_kind():
     assert set(World.ACTION_HANDLERS) == WORKLOAD_ACTIONS
     with pytest.raises(DecodeError, match="no payload decoder"):
         decode_payload(PayloadKind.INTERCHAIN_ENVELOPE, b"")
+
+
+def test_scenario_tables_cover_every_row_field():
+    assert set(ROW_FIELDS) == {UserSpec, WorkloadAction, VoteSpec, FaultSpec}
+    for cls, table in ROW_FIELDS.items():
+        assert list(table) == [f.name for f in fields(cls)]
+        assert all(callable(read) for read, _required in table.values())
+    assert set(FAULT_FIELDS) == {FAULT_COMPROMISE, FAULT_TAMPER}
+    for table in FAULT_FIELDS.values():
+        assert table.keys() <= ROW_FIELDS[FaultSpec].keys()
+    tables = [*ROW_FIELDS.values(), TOPOLOGY_FIELDS, POLICY_FIELDS, GRANT_FIELDS, SCENARIO_FIELDS]
+    assert MINIMUMS.keys() <= {key for table in tables for key in table}
 
 
 # a policy whose one grant names an action no Action member has
