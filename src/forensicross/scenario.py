@@ -104,6 +104,8 @@ class VoteSpec:
 
 @dataclass(frozen=True)
 class FaultSpec:
+    # a compromise fault may leave out its tick; `kind` has a default only
+    # because `tick` does, and every fault row must name it
     tick: int = 0
     kind: str = ""
     node: str = ""
