@@ -23,7 +23,7 @@ from .comm import (
     TranslatedEnvelope,
     VerificationContract,
     VerifyStatus,
-    canonical_translation,
+    hop_origin,
     translate,
     verify_translations,
 )

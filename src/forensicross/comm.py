@@ -44,36 +44,27 @@ class MutualNodeSet:
         return len(self.members)
 
 
-def canonical_translation(tx: Transaction) -> bytes:
-    """The bridge-format body every honest translator produces for `tx`.
-
-    Origin transactions are carried whole (their canonical serialization,
-    original signature included); validated envelopes being forwarded a
-    second hop pass their embedded origin through unchanged.
-    """
-    if tx.payload_kind is PayloadKind.INTERCHAIN_ENVELOPE:
-        return tx.body
-    return tx.canonical_bytes()
-
-
 @dataclass(frozen=True)
 class HopOrigin:
     """What every translator of one routed hop shares: the origin's
-    identity (the ledger key at the receiving contract) and the honest
-    body, `canonical_translation` of the routed record."""
+    identity (the ledger key at the receiving contract), the honest body
+    and the routed record's destinations."""
 
     tx_id: str
     chain: str
     body: bytes
+    destinations: tuple[str, ...]
 
 
 def hop_origin(tx: Transaction) -> HopOrigin:
-    """The origin `tx` routes: itself, or the origin embedded in a forwarded
-    envelope record, which keeps its identity on the second hop."""
+    """The hop that routing `tx` makes. An origin transaction is carried
+    whole (its canonical serialization, original signature included); a
+    forwarded envelope record passes its embedded origin through unchanged,
+    so that origin keeps its identity on the second hop."""
     if tx.payload_kind is PayloadKind.INTERCHAIN_ENVELOPE:
         embedded = Transaction.from_canonical(tx.body)
-        return HopOrigin(embedded.tx_id, embedded.source_chain, tx.body)
-    return HopOrigin(tx.tx_id, tx.source_chain, canonical_translation(tx))
+        return HopOrigin(embedded.tx_id, embedded.source_chain, tx.body, tx.destination_chains)
+    return HopOrigin(tx.tx_id, tx.source_chain, tx.canonical_bytes(), tx.destination_chains)
 
 
 def _attested_bytes(
@@ -106,37 +97,22 @@ class TranslatedEnvelope:
 
 
 def translate(
-    tx: Transaction,
-    node: str,
-    mutual_set: MutualNodeSet,
-    node_key: KeyPair,
+    origin: HopOrigin, node: str, mutual_set: MutualNodeSet, node_key: KeyPair,
     corrupt: "callable | None" = None,
-    origin: HopOrigin | None = None,
 ) -> TranslatedEnvelope:
-    """One mutual node's rendering of `tx` into the standard format.
+    """One mutual node's rendering of a routed hop, `hop_origin(tx)`, into
+    the standard format.
 
-    Forwarded envelopes keep the embedded origin transaction's identity, so
-    both verification hops of one routed transaction share a ledger key.
     `corrupt` is the fault-injection hook: a function over the honest body,
-    applied only for compromised nodes. `origin` is `hop_origin(tx)`,
-    which the caller passes when it translates one hop on many nodes.
+    applied only for compromised nodes.
     """
     if node not in mutual_set.members:
         raise NotMutualNode(f"{node} is not in the mutual set of {mutual_set.chain_id}")
-    if origin is None:
-        origin = hop_origin(tx)
     body = origin.body if corrupt is None else corrupt(origin.body)
-    destinations = tx.destination_chains
-    signature = sign(
-        _attested_bytes(origin.tx_id, origin.chain, destinations, body, node), node_key
-    )
+    attested = _attested_bytes(origin.tx_id, origin.chain, origin.destinations, body, node)
+    signature = sign(attested, node_key)
     return TranslatedEnvelope(
-        origin_tx_id=origin.tx_id,
-        origin_chain=origin.chain,
-        destination_chains=destinations,
-        canonical_body=body,
-        translator_node=node,
-        translator_signature=signature,
+        origin.tx_id, origin.chain, origin.destinations, body, node, signature
     )
 
 
@@ -157,7 +133,6 @@ class LedgerEntry:
     duplicate_nodes: list[str] = field(default_factory=list)
     status: VerifyStatus = VerifyStatus.PENDING
     winning_body: bytes | None = None
-    opened_tick: int = 0
     resolved_tick: int | None = None
 
 
@@ -193,17 +168,20 @@ class VerificationContract:
         self.key_resolver = key_resolver
         self.entries: dict[str, LedgerEntry] = {}
 
-    def entry_for(self, origin_tx_id: str, expected: int, tick: int) -> LedgerEntry:
+    def entry_for(self, origin_tx_id: str, expected: int) -> LedgerEntry:
         entry = self.entries.get(origin_tx_id)
         if entry is None:
-            entry = LedgerEntry(origin_tx_id=origin_tx_id, expected=expected, opened_tick=tick)
+            entry = LedgerEntry(origin_tx_id=origin_tx_id, expected=expected)
             self.entries[origin_tx_id] = entry
         return entry
 
     def receive(
         self, envelope: TranslatedEnvelope, expected: int, tick: int
-    ) -> tuple[LedgerEntry, VerifyStatus, bool]:
-        """Count one submission; returns (entry, status, was_duplicate).
+    ) -> tuple[LedgerEntry, bool, bool]:
+        """Count one submission; returns (entry, resolved, was_duplicate).
+
+        `resolved` is True only for the submission that validated or
+        rejected the entry; the entry's status is the outcome.
 
         Checks run in this order: duplicate, resolved, signature, count.
         A node's second submission for the same origin tx is ignored and
@@ -212,25 +190,25 @@ class VerificationContract:
         envelope from an unknown translator node, or with a forged
         signature, is not counted.
         """
-        entry = self.entry_for(envelope.origin_tx_id, expected, tick)
+        entry = self.entry_for(envelope.origin_tx_id, expected)
         if envelope.translator_node in entry.submissions:
             entry.duplicate_nodes.append(envelope.translator_node)
-            return entry, entry.status, True
+            return entry, False, True
         if entry.status is not VerifyStatus.PENDING:
-            return entry, entry.status, False
+            return entry, False, False
         try:
             public_key = self.key_resolver(envelope.translator_node)
         except KeyError:
-            return entry, entry.status, False
+            return entry, False, False
         if not verify(
             envelope.attested_bytes(), envelope.translator_signature, public_key
         ):
-            return entry, entry.status, False
+            return entry, False, False
         entry.submissions[envelope.translator_node] = envelope
-        status = verify_translations(entry)
-        if status in (VerifyStatus.VALIDATED, VerifyStatus.REJECTED):
-            entry.resolved_tick = tick
-        return entry, status, False
+        if verify_translations(entry) is VerifyStatus.PENDING:
+            return entry, False, False
+        entry.resolved_tick = tick
+        return entry, True, False
 
 
 @dataclass

@@ -169,9 +169,8 @@ class MerkleTree:
         for leaf in leaves:
             if len(leaf) != DIGEST_SIZE:
                 raise ValueError(f"leaf must be {DIGEST_SIZE} bytes, got {len(leaf)}")
-        self.leaves = list(leaves)
         self.levels: list[list[Digest]] = [list(leaves)]
-        level = list(leaves)
+        level = self.levels[0]
         while len(level) > 1:
             if len(level) % 2 == 1:
                 level = level + [level[-1]]

@@ -46,6 +46,11 @@ class EmptyDestinations(ForensicrossError):
     pass
 
 
+class InvalidDestinations(ForensicrossError):
+    """Destinations that name the source chain, repeat a chain or name no
+    organization chain."""
+
+
 class UnexpectedKind(ForensicrossError):
     """A validated origin of a kind its receiving side has no handler for."""
 

@@ -103,18 +103,6 @@ def check_access(policy: AccessPolicy, role: str, stage: int, action: Action) ->
 
 
 @dataclass
-class AccessLogEntry:
-    case_number: str
-    actor_public_key: bytes
-    role: str
-    action: Action
-    stage: int
-    decision: str
-    tick: int
-    tx_id: str = ""
-
-
-@dataclass
 class LocalCase:
     """One chain's replica of a shared case's control state."""
 
@@ -138,7 +126,6 @@ class OrgChainState:
         self.chain_id = chain_id
         self.registered_users: dict[bytes, str] = {}  # public key -> role
         self.cases: dict[str, LocalCase] = {}
-        self.access_log: list[AccessLogEntry] = []
 
     def register_user(self, key: KeyPair, role: str) -> None:
         self.registered_users[key.public_key] = role
@@ -156,26 +143,18 @@ class OrgChainState:
             raise UnknownCase(f"{case_number} unknown on {self.chain_id}") from None
 
     def data_access_tx(
-        self, user: KeyPair, case_number: str, action: Action,
-        payload_digest: Digest, tick: int,
-    ) -> tuple[Transaction, AccessLogEntry]:
+        self, user: KeyPair, case_number: str, action: Action, payload_digest: Digest
+    ) -> tuple[Transaction, DataAccessLogPayload]:
         """Decide the attempt against the stored policy and produce the
-        on-chain log transaction. Denials are logged the same way."""
+        on-chain log transaction and the payload it carries. Denials are
+        logged the same way. The chain is the access log: nothing else
+        keeps the attempt."""
         role = self.require_user(user)
         case = self.require_case(case_number)
         if case.policy is None:
             decision = DENIED  # nothing granted until a policy is dispatched
         else:
             decision = check_access(case.policy, role, case.stage, action)
-        entry = AccessLogEntry(
-            case_number=case_number,
-            actor_public_key=user.public_key,
-            role=role,
-            action=action,
-            stage=case.stage,
-            decision=decision,
-            tick=tick,
-        )
         payload = DataAccessLogPayload(
             case_number=case_number,
             actor_public_key=user.public_key,
@@ -185,7 +164,7 @@ class OrgChainState:
             decision=decision,
             payload_digest=payload_digest,
         )
-        return payload_transaction(payload, self.chain_id, user), entry
+        return payload_transaction(payload, self.chain_id, user), payload
 
     # -- replica updates -------------------------------------------------------
 

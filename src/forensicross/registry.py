@@ -4,7 +4,10 @@ query-node authorization, and unanimous stage voting.
 The registry mutates only when the bridge's communication contract hands it
 a validated envelope; reads are snapshot-safe at any tick. Stage voting is
 per proposal round: the round closes when every participant has voted, and
-the stage advances exactly when the vector is all-Approve.
+the stage advances exactly when the vector is all-Approve. Votes are kept
+only in the rounds: the open proposal is the last round while it is not
+closed, and the exported stage votes are those of each stage's last closed
+round.
 """
 from __future__ import annotations
 
@@ -24,7 +27,7 @@ from .errors import (
 )
 from .lifecycle import AccessPolicy
 from .payloads import VOTE_APPROVE
-from .provenance import EMPTY_STAGE_LEAF, stage_leaf
+from .provenance import EMPTY_STAGE_LEAF, case_chain_root, stage_leaf
 
 DEFAULT_STAGE_COUNT = 5
 
@@ -45,11 +48,9 @@ class VoteResult:
 
 @dataclass
 class StageHashRecord:
-    """Ordered transaction hashes one chain reported for one stage."""
+    """Ordered transaction hashes one chain reported for one stage; the
+    case keys it by (chain, stage)."""
 
-    case_number: str
-    chain_id: str
-    stage: int
     tx_hashes: list[Digest] = field(default_factory=list)
     leaf: Digest = b""
 
@@ -77,8 +78,6 @@ class CaseContract:
     current_stage: int = 0
     query_nodes: set[bytes] = field(default_factory=set)
     policy: AccessPolicy | None = None
-    stage_votes: dict[int, dict[str, str]] = field(default_factory=dict)
-    open_proposal: ProposalRound | None = None
     rounds: list[ProposalRound] = field(default_factory=list)
     stage_records: dict[tuple[str, int], StageHashRecord] = field(default_factory=dict)
 
@@ -169,8 +168,8 @@ class BridgeRegistry:
         """
         case = self.require_case(case_number)
         self._require_participant(case, proposer_chain)
-        if case.open_proposal is not None and not case.open_proposal.closed:
-            raise ProposalAlreadyOpen(f"{case_number} stage {case.open_proposal.stage}")
+        if case.rounds and not case.rounds[-1].closed:
+            raise ProposalAlreadyOpen(f"{case_number} stage {case.rounds[-1].stage}")
         if stage != case.current_stage + 1 or stage > case.stage_count:
             raise StaleStage(
                 f"proposal for stage {stage}, current is {case.current_stage}"
@@ -179,7 +178,6 @@ class BridgeRegistry:
         proposal = ProposalRound(stage=stage, round=round_no, proposer_chain=proposer_chain)
         if implicit_approve:
             proposal.votes[proposer_chain] = (VOTE_APPROVE, "")
-        case.open_proposal = proposal
         case.rounds.append(proposal)
         return proposal
 
@@ -195,7 +193,7 @@ class BridgeRegistry:
         """Count one chain's vote; resolves the round once all votes are in."""
         case = self.require_case(case_number)
         self._require_participant(case, chain_id)
-        proposal = case.open_proposal
+        proposal = case.rounds[-1] if case.rounds else None
         if proposal is None or proposal.closed or proposal.stage != stage or proposal.round != round_:
             raise StaleStage(f"no open round {round_} for stage {stage}")
         if chain_id in proposal.votes:
@@ -204,7 +202,6 @@ class BridgeRegistry:
         if len(proposal.votes) < len(case.participants):
             return VoteResult(StageOutcome.AWAITING_VOTES, stage, round_)
         proposal.closed = True
-        case.stage_votes[stage] = {c: v for c, (v, _r) in sorted(proposal.votes.items())}
         reasons = tuple(
             f"{c}: {r}" for c, (v, r) in sorted(proposal.votes.items()) if v != VOTE_APPROVE
         )
@@ -226,7 +223,7 @@ class BridgeRegistry:
             raise StaleStage(f"stage {stage} outside 0..{case.stage_count - 1}")
         record = case.stage_records.get((chain_id, stage))
         if record is None:
-            record = StageHashRecord(case_number, chain_id, stage)
+            record = StageHashRecord()
             case.stage_records[(chain_id, stage)] = record
         record.append(tx_hash)
         return record
@@ -241,8 +238,6 @@ class BridgeRegistry:
         return leaves
 
     def chain_root(self, case_number: str, chain_id: str) -> Digest:
-        from .provenance import case_chain_root
-
         case = self.require_case(case_number)
         return case_chain_root(self.stage_leaves_for(case_number, chain_id), case.stage_count)
 
@@ -260,8 +255,11 @@ class BridgeRegistry:
                 "current_stage": case.current_stage,
                 "query_nodes": sorted(k.hex() for k in case.query_nodes),
                 "policy_digest": case.policy.digest().hex() if case.policy else None,
+                # a later round of a stage overwrites an earlier one
                 "stage_votes": {
-                    str(stage): votes for stage, votes in sorted(case.stage_votes.items())
+                    str(r.stage): {c: v for c, (v, _r) in sorted(r.votes.items())}
+                    for r in case.rounds
+                    if r.closed
                 },
                 "stage_hashes": {
                     chain: {

@@ -334,6 +334,11 @@ def scenario_from_dict(data: dict, name: str) -> Scenario:
         for chain in (a.chain, *a.destinations):
             if chain not in chains:
                 raise ScenarioError(f"{context}: workload references unknown chain {chain!r}")
+        if a.chain in a.destinations or len(set(a.destinations)) != len(a.destinations):
+            raise ScenarioError(
+                f"{context}.destinations: {list(a.destinations)} must name chains "
+                f"other than {a.chain!r}, each once"
+            )
         if a.action == ACTION_ACCESS and a.op and a.op not in ACCESS_OPS:
             raise ScenarioError(f"{context}: op {a.op!r} is not one of {sorted(ACCESS_OPS)}")
         if a.user and a.user not in user_names:

@@ -32,6 +32,7 @@ from .crypto import KeyPair, hash_bytes
 from .errors import (
     EmptyDestinations,
     ForensicrossError,
+    InvalidDestinations,
     InvalidTopology,
     NotQueryNode,
     ScenarioError,
@@ -116,7 +117,6 @@ class World:
 
         self._queue: list = []
         self._seq = 0
-        self._handled: set[tuple[str, str]] = set()
         self._honest_bodies: dict[str, bytes] = {}
         self._messages_to: dict[tuple[str, str], int] = {}
         self._mine_scheduled: set[tuple[str, int]] = set()
@@ -266,6 +266,7 @@ class World:
         key = self._registered_user(a)
         if not a.destinations:
             raise EmptyDestinations(a.case)
+        self._require_destinations(a.chain, a.destinations)
         tx = payload_transaction(CaseCreatePayload(a.case), a.chain, key, a.destinations)
         self._submit_local(a.chain, tx, tick)
 
@@ -304,18 +305,16 @@ class World:
         org = self.org[a.chain]
         action = Action(a.op) if a.op else Action.READ
         label = a.payload or f"{a.case}:{a.user}:{tick}"
-        tx, entry = org.data_access_tx(
-            self._user_key(a.user), a.case, action, hash_bytes(label.encode()), tick
+        tx, payload = org.data_access_tx(
+            self._user_key(a.user), a.case, action, hash_bytes(label.encode())
         )
         accepted = self._submit_local(a.chain, tx, tick)
         if accepted is None:
             return
-        entry.tx_id = accepted.tx_id
-        org.access_log.append(entry)
         self.emit(
             tick, "access",
-            chain=a.chain, case=a.case, actor=a.user, role=entry.role,
-            op=action.value, stage=entry.stage, decision=entry.decision,
+            chain=a.chain, case=a.case, actor=a.user, role=payload.role,
+            op=action.value, stage=payload.stage, decision=payload.decision,
             tx_id=accepted.tx_id,
         )
 
@@ -359,8 +358,17 @@ class World:
 
     # -- chain plumbing --------------------------------------------------------------
 
+    def _require_destinations(self, source: str, destinations: tuple[str, ...]) -> None:
+        """Routing has no pair of a chain with itself, and a case that names
+        a chain twice waits for a vote that chain cannot cast twice."""
+        if source in destinations or len(self.org.keys() & set(destinations)) != len(destinations):
+            raise InvalidDestinations(
+                f"{source} -> {list(destinations)}: not other known chains, each once"
+            )
+
     def inject_transaction(self, tx: Transaction) -> Transaction:
         """Entry point for driving the world without a workload file."""
+        self._require_destinations(tx.source_chain, tx.destination_chains)
         accepted = self._submit_local(tx.source_chain, tx, self.now)
         if accepted is None:
             raise ScenarioError("injected transaction was rejected at submission")
@@ -436,8 +444,7 @@ class World:
     # -- routing pipeline ------------------------------------------------------------------
 
     def _send_translations(
-        self, tx: Transaction, mset: MutualNodeSet, target_chain: str,
-        origin: HopOrigin, tick: int,
+        self, origin: HopOrigin, mset: MutualNodeSet, target_chain: str, tick: int
     ) -> None:
         origin_id = origin.tx_id
         latency = self.scenario.link_latency
@@ -448,7 +455,7 @@ class World:
                 self.emit(tick, "envelope_dropped", origin_tx=origin_id, node=node)
                 continue
             corrupt = flip_last_byte if rule == RULE_EQUIVOCATE else None
-            envelope = translate(tx, node, mset, self.keys[node], corrupt, origin)
+            envelope = translate(origin, node, mset, self.keys[node], corrupt)
             sent += 1
             self.emit(
                 tick, "envelope_sent",
@@ -463,7 +470,7 @@ class World:
         self._messages_to[(target_chain, origin_id)] = sent
         self.schedule(
             tick + latency + self.scenario.pending_timeout, PHASE_DELIVER,
-            partial(self._check_timeout, target_chain, origin_id),
+            partial(self._check_timeout, target_chain, origin_id, mset.size),
         )
 
     def _start_routing(self, tx: Transaction, chain_id: str, tick: int) -> None:
@@ -494,12 +501,12 @@ class World:
             )
             self._honest_bodies[origin.tx_id] = origin.body
         for mset, target_chain in hops:
-            self._send_translations(tx, mset, target_chain, origin, tick)
+            self._send_translations(origin, mset, target_chain, tick)
 
     def _deliver_envelope(self, target_chain: str, envelope, expected: int, tick: int) -> None:
         self.envelopes_delivered += 1
         contract = self.contracts[target_chain]
-        entry, status, duplicate = contract.receive(envelope, expected, tick)
+        entry, resolved, duplicate = contract.receive(envelope, expected, tick)
         self.emit(
             tick, "envelope_received",
             chain=target_chain, origin_tx=envelope.origin_tx_id,
@@ -511,15 +518,9 @@ class World:
                 chain=target_chain, origin_tx=envelope.origin_tx_id,
                 node=envelope.translator_node,
             )
-            return
-        key = (target_chain, envelope.origin_tx_id)
-        if key in self._handled:
-            return
-        if status is VerifyStatus.VALIDATED:
-            self._handled.add(key)
+        elif resolved and entry.status is VerifyStatus.VALIDATED:
             self._on_validated(target_chain, entry, tick)
-        elif status is VerifyStatus.REJECTED:
-            self._handled.add(key)
+        elif resolved:
             self._on_rejected(target_chain, entry, tick)
 
     def _verify_hop(
@@ -534,16 +535,13 @@ class World:
             report.hops.append(Hop(hop, target_chain, tick, messages, outcome))
         return report
 
-    def _check_timeout(self, target_chain: str, origin_id: str, tick: int) -> None:
-        entry = self.contracts[target_chain].entries.get(origin_id)
-        if entry is not None and entry.status is not VerifyStatus.PENDING:
+    def _check_timeout(self, target_chain: str, origin_id: str, expected: int, tick: int) -> None:
+        # a hop whose every envelope was dropped has no entry until now
+        entry = self.contracts[target_chain].entry_for(origin_id, expected)
+        if entry.status is not VerifyStatus.PENDING:
             return
-        if (target_chain, origin_id) in self._handled:
-            return
-        if entry is not None:
-            entry.status = VerifyStatus.EXPIRED
-            entry.resolved_tick = tick
-        self._handled.add((target_chain, origin_id))
+        entry.status = VerifyStatus.EXPIRED
+        entry.resolved_tick = tick
         self.emit(tick, "envelope_expired", chain=target_chain, origin_tx=origin_id)
         report = self._verify_hop(target_chain, origin_id, tick, "expired")
         if report is not None:

@@ -242,6 +242,31 @@ def test_a_grant_for_an_undeclared_role_is_a_validation_error(tmp_path, scenario
     assert "policy.grants[0].role 'ghost' is not in policy.roles" in capsys.readouterr().err
 
 
+# (scenario, destinations of its first row, a create-case from A); the mesh
+# rows used to raise KeyError out of World.run, the bridge rows to leave
+# stage 1 waiting for a vote no chain could cast
+BAD_DESTINATIONS = {
+    "mesh_self": ("mesh_small.yaml", ["A", "C"]),
+    "mesh_repeat": ("mesh_small.yaml", ["B", "B"]),
+    "bridge_self": ("bridge_small.yaml", ["A", "C"]),
+    "bridge_repeat": ("bridge_small.yaml", ["B", "B"]),
+}
+
+
+@pytest.mark.parametrize("row", sorted(BAD_DESTINATIONS))
+def test_destinations_that_are_not_other_chains_each_once_are_a_validation_error(
+    tmp_path, scenario_dir, capsys, row
+):
+    name, destinations = BAD_DESTINATIONS[row]
+    data = yaml.safe_load((scenario_dir / name).read_text(encoding="utf-8"))
+    data["workload"][0].update(destinations=destinations)
+    bad = tmp_path / name
+    bad.write_text(yaml.safe_dump(data), encoding="utf-8")
+    code = run_cli("run", "--scenario", str(bad), "--out", str(tmp_path / "out"))
+    assert code == EXIT_VALIDATION
+    assert "workload[0].destinations" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("field_name", sorted(NOT_A_LIST))
 def test_a_list_field_that_is_not_a_list_is_a_validation_error(
     tmp_path, scenario_dir, capsys, field_name

@@ -16,13 +16,13 @@ from forensicross.comm import (
     TranslatedEnvelope,
     VerificationContract,
     VerifyStatus,
-    canonical_translation,
     hop_origin,
     translate,
     verify_translations,
 )
 from forensicross.crypto import KeyPair, sign
-from forensicross.scenario import FAULT_COMPROMISE, FaultSpec, RULE_EQUIVOCATE
+from forensicross.errors import InvalidDestinations
+from forensicross.scenario import FAULT_COMPROMISE, RULE_DROP, RULE_EQUIVOCATE, FaultSpec
 from forensicross.payloads import CaseCreatePayload, payload_transaction
 from forensicross.sim import (
     BRIDGE_CHAIN_ID,
@@ -30,6 +30,7 @@ from forensicross.sim import (
     flip_last_byte,
     make_comparison_scenario,
     route_transaction,
+    run_scenario,
 )
 from forensicross.topology import Design
 from oracles import majority_status
@@ -53,15 +54,16 @@ def test_mutual_set_rejects_small_or_even_sizes():
 
 def test_two_honest_translators_agree_byte_for_byte():
     tx = origin_tx()
-    e0 = translate(tx, "n0", MSET, KEYS["n0"])
-    e1 = translate(tx, "n1", MSET, KEYS["n1"])
-    assert e0.canonical_body == e1.canonical_body == canonical_translation(tx)
+    e0 = translate(hop_origin(tx), "n0", MSET, KEYS["n0"])
+    e1 = translate(hop_origin(tx), "n1", MSET, KEYS["n1"])
+    # the origin is carried whole, its signature included
+    assert e0.canonical_body == e1.canonical_body == tx.canonical_bytes()
 
 
 def test_compromised_translator_differs_from_honest():
     tx = origin_tx()
-    honest = translate(tx, "n0", MSET, KEYS["n0"])
-    bad = translate(tx, "n1", MSET, KEYS["n1"], corrupt=flip_last_byte)
+    honest = translate(hop_origin(tx), "n0", MSET, KEYS["n0"])
+    bad = translate(hop_origin(tx), "n1", MSET, KEYS["n1"], corrupt=flip_last_byte)
     assert bad.canonical_body != honest.canonical_body
 
 
@@ -71,22 +73,21 @@ def test_translate_given_the_hops_origin_matches_translate_given_the_transaction
         PayloadKind.INTERCHAIN_ENVELOPE, origin.canonical_bytes(), BRIDGE_CHAIN_ID,
         ["B"], KeyPair.derive("comm-bridge-contract"),
     )
-    # a forwarded envelope record routes the origin it embeds
+    # a forwarded envelope record routes the origin it embeds, so every
+    # translator of either hop signs the same envelope
     assert hop_origin(record) == hop_origin(origin) == HopOrigin(
-        "A:1", "A", origin.canonical_bytes()
+        "A:1", "A", origin.canonical_bytes(), ("B",)
     )
-    for tx in (origin, record):
-        precomputed = hop_origin(tx)
-        for node in MSET.members:
-            for corrupt in (None, flip_last_byte):
-                assert translate(
-                    tx, node, MSET, KEYS[node], corrupt, precomputed
-                ) == translate(tx, node, MSET, KEYS[node], corrupt)
+    for node in MSET.members:
+        for corrupt in (None, flip_last_byte):
+            assert translate(
+                hop_origin(record), node, MSET, KEYS[node], corrupt
+            ) == translate(hop_origin(origin), node, MSET, KEYS[node], corrupt)
 
 
 def test_translate_outside_set_is_an_error():
     with pytest.raises(NotMutualNode):
-        translate(origin_tx(), "intruder", MSET, KeyPair.derive("intruder"))
+        translate(hop_origin(origin_tx()), "intruder", MSET, KeyPair.derive("intruder"))
 
 
 def _entry(expected: int, bodies: list[bytes]) -> LedgerEntry:
@@ -128,11 +129,12 @@ def test_majority_soundness_against_bruteforce_counter():
 def test_duplicate_submission_is_ignored_and_recorded():
     contract = VerificationContract("BRIDGE", lambda node: KEYS[node].public_key)
     tx = origin_tx()
-    first = translate(tx, "n0", MSET, KEYS["n0"])
-    entry, status, dup = contract.receive(first, expected=3, tick=1)
-    assert not dup and status is VerifyStatus.PENDING
-    entry2, status2, dup2 = contract.receive(first, expected=3, tick=2)
-    assert dup2 and entry2 is entry and status2 is VerifyStatus.PENDING
+    first = translate(hop_origin(tx), "n0", MSET, KEYS["n0"])
+    entry, resolved, dup = contract.receive(first, expected=3, tick=1)
+    assert (resolved, dup) == (False, False) and entry.status is VerifyStatus.PENDING
+    entry2, resolved2, dup2 = contract.receive(first, expected=3, tick=2)
+    assert (resolved2, dup2) == (False, True) and entry2 is entry
+    assert entry.status is VerifyStatus.PENDING
     assert entry.duplicate_nodes == ["n0"]
     assert len(entry.submissions) == 1
 
@@ -140,9 +142,9 @@ def test_duplicate_submission_is_ignored_and_recorded():
 def test_forged_translator_signature_is_not_counted():
     contract = VerificationContract("BRIDGE", lambda node: KEYS[node].public_key)
     tx = origin_tx()
-    envelope = translate(tx, "n0", MSET, KEYS["n0"])
+    envelope = translate(hop_origin(tx), "n0", MSET, KEYS["n0"])
     forged = replace(envelope, canonical_body=envelope.canonical_body + b"!")
-    entry, _status, dup = contract.receive(forged, expected=3, tick=1)
+    entry, _resolved, dup = contract.receive(forged, expected=3, tick=1)
     assert not dup and len(entry.submissions) == 0
 
 
@@ -151,12 +153,12 @@ def test_rejected_entry_stays_rejected():
     tx = origin_tx()
     for i, node in enumerate(MSET.members):
         body_tweak = (lambda b, i=i: b + bytes([i]))  # three divergent bodies
-        envelope = translate(tx, node, MSET, KEYS[node], corrupt=body_tweak)
-        entry, status, _ = contract.receive(envelope, expected=3, tick=i)
-    assert status is VerifyStatus.REJECTED
-    late = translate(tx, "n0", MSET, KEYS["n0"])
-    entry, status, dup = contract.receive(late, expected=3, tick=9)
-    assert dup  # n0 already counted; outcome unchanged
+        envelope = translate(hop_origin(tx), node, MSET, KEYS[node], corrupt=body_tweak)
+        entry, resolved, _ = contract.receive(envelope, expected=3, tick=i)
+    assert resolved and entry.status is VerifyStatus.REJECTED
+    late = translate(hop_origin(tx), "n0", MSET, KEYS["n0"])
+    entry, resolved, dup = contract.receive(late, expected=3, tick=9)
+    assert dup and not resolved  # n0 already counted; outcome unchanged
     assert entry.status is VerifyStatus.REJECTED
 
 
@@ -220,7 +222,7 @@ def test_end_to_end_destination_stores_origin_translation_byte_for_byte():
     tx = _case_tx(world)
     accepted = world.inject_transaction(tx)
     world.run()
-    expected_body = canonical_translation(accepted)
+    expected_body = hop_origin(accepted).body
     stored = [
         t
         for block in world.chains["B"].blocks
@@ -250,6 +252,37 @@ def test_safety_bound_sweep_small():
             assert malicious_won == (compromised > n_i / 2), (n_i, compromised)
 
 
+def test_a_hop_whose_every_envelope_is_dropped_expires_once():
+    scenario = make_comparison_scenario(2, Design.BRIDGE)
+    drops = tuple(
+        FaultSpec(tick=0, kind=FAULT_COMPROMISE, node=node, rule=RULE_DROP)
+        for node in ("A.m0", "A.m1", "A.m2")
+    )
+    world = run_scenario(replace(scenario, faults=drops))
+    expired = [e for e in world.events if e["event"] == "envelope_expired"]
+    assert len(expired) == 1
+    origin_id = expired[0]["origin_tx"]
+    assert expired[0]["chain"] == BRIDGE_CHAIN_ID
+    assert world.reports[origin_id].status == "expired"
+    # the contract holds the outcome even though no envelope reached it
+    entry = world.contracts[BRIDGE_CHAIN_ID].entries[origin_id]
+    assert entry.status is VerifyStatus.EXPIRED and not entry.submissions
+    assert world.conservation()["entries_unresolved"] == 0
+
+
+@pytest.mark.parametrize("design", [Design.MESH, Design.BRIDGE], ids=lambda d: d.value)
+@pytest.mark.parametrize("destinations", [("A", "C"), ("B", "B"), ("Z",)])
+def test_route_refuses_destinations_that_are_not_other_chains_each_once(design, destinations):
+    # a mesh hop from A to A has no mutual set, and a bridge case naming a
+    # chain twice waits for a second vote that chain cannot cast
+    world = _world(k=3, design=design)
+    user_key = world.users["creator"][1]
+    tx = payload_transaction(CaseCreatePayload("C-9"), "A", user_key, destinations)
+    with pytest.raises(InvalidDestinations):
+        route_transaction(tx, world)
+    assert not world.chains["A"].pending_pool and not world.events
+
+
 # -- check order in receive ---------------------------------------------------
 
 
@@ -258,9 +291,9 @@ def _validated_contract() -> tuple[VerificationContract, Transaction]:
     contract = VerificationContract("BRIDGE", lambda node: KEYS[node].public_key)
     tx = origin_tx()
     for tick, node in enumerate(("n0", "n1")):
-        envelope = translate(tx, node, MSET, KEYS[node])
-        _entry, status, _dup = contract.receive(envelope, expected=3, tick=tick)
-    assert status is VerifyStatus.VALIDATED
+        envelope = translate(hop_origin(tx), node, MSET, KEYS[node])
+        entry, resolved, _dup = contract.receive(envelope, expected=3, tick=tick)
+    assert resolved and entry.status is VerifyStatus.VALIDATED
     return contract, tx
 
 
@@ -279,7 +312,7 @@ def _count_verify_calls(monkeypatch) -> list[int]:
 def _unknown_envelope(tx: Transaction, node: str = "intruder") -> TranslatedEnvelope:
     envelope = TranslatedEnvelope(
         tx.tx_id, tx.source_chain, tx.destination_chains,
-        canonical_translation(tx), node, b"",
+        hop_origin(tx).body, node, b"",
     )
     key = KeyPair.derive("unknown", node)
     return replace(envelope, translator_signature=sign(envelope.attested_bytes(), key))
@@ -288,11 +321,12 @@ def _unknown_envelope(tx: Transaction, node: str = "intruder") -> TranslatedEnve
 def test_receive_on_resolved_entry_never_verifies(monkeypatch):
     contract, tx = _validated_contract()
     calls = _count_verify_calls(monkeypatch)
-    late = translate(tx, "n2", MSET, KEYS["n2"])
+    late = translate(hop_origin(tx), "n2", MSET, KEYS["n2"])
     forged = replace(late, canonical_body=late.canonical_body + b"!")
     for envelope in (late, forged):
-        entry, status, dup = contract.receive(envelope, expected=3, tick=5)
-        assert (status, dup) == (VerifyStatus.VALIDATED, False)
+        entry, resolved, dup = contract.receive(envelope, expected=3, tick=5)
+        assert (resolved, dup) == (False, False)
+        assert entry.status is VerifyStatus.VALIDATED
         assert sorted(entry.submissions) == ["n0", "n1"]
     assert calls[0] == 0
 
@@ -300,11 +334,12 @@ def test_receive_on_resolved_entry_never_verifies(monkeypatch):
 def test_late_envelope_on_expired_entry_is_not_verified_or_counted(monkeypatch):
     contract = VerificationContract("BRIDGE", lambda node: KEYS[node].public_key)
     tx = origin_tx()
-    entry, _status, _dup = contract.receive(translate(tx, "n0", MSET, KEYS["n0"]), 3, tick=0)
+    origin = hop_origin(tx)
+    entry, _resolved, _dup = contract.receive(translate(origin, "n0", MSET, KEYS["n0"]), 3, tick=0)
     entry.status, entry.resolved_tick = VerifyStatus.EXPIRED, 5  # as World._check_timeout does
     calls = _count_verify_calls(monkeypatch)
-    entry, status, dup = contract.receive(translate(tx, "n1", MSET, KEYS["n1"]), 3, tick=6)
-    assert (status, dup) == (VerifyStatus.EXPIRED, False)
+    entry, resolved, dup = contract.receive(translate(origin, "n1", MSET, KEYS["n1"]), 3, tick=6)
+    assert (resolved, dup) == (False, False)
     assert entry.status is VerifyStatus.EXPIRED and entry.resolved_tick == 5
     assert list(entry.submissions) == ["n0"]
     assert calls[0] == 0
@@ -313,29 +348,29 @@ def test_late_envelope_on_expired_entry_is_not_verified_or_counted(monkeypatch):
 def test_forged_envelope_on_pending_entry_is_verified_and_not_counted(monkeypatch):
     contract = VerificationContract("BRIDGE", lambda node: KEYS[node].public_key)
     tx = origin_tx()
-    contract.receive(translate(tx, "n0", MSET, KEYS["n0"]), expected=3, tick=0)
+    contract.receive(translate(hop_origin(tx), "n0", MSET, KEYS["n0"]), expected=3, tick=0)
     calls = _count_verify_calls(monkeypatch)
-    honest = translate(tx, "n1", MSET, KEYS["n1"])
+    honest = translate(hop_origin(tx), "n1", MSET, KEYS["n1"])
     forged = replace(honest, translator_signature=sign(honest.attested_bytes(), KEYS["n2"]))
-    entry, status, dup = contract.receive(forged, expected=3, tick=1)
+    entry, resolved, dup = contract.receive(forged, expected=3, tick=1)
     assert calls[0] == 1
-    assert (status, dup) == (VerifyStatus.PENDING, False)
+    assert (resolved, dup) == (False, False) and entry.status is VerifyStatus.PENDING
     assert list(entry.submissions) == ["n0"]
 
 
 def test_unknown_translator_is_not_counted_on_pending_entry():
     contract = VerificationContract("BRIDGE", lambda node: KEYS[node].public_key)
     tx = origin_tx()
-    contract.receive(translate(tx, "n0", MSET, KEYS["n0"]), expected=3, tick=0)
-    entry, status, dup = contract.receive(_unknown_envelope(tx), expected=3, tick=1)
-    assert (status, dup) == (VerifyStatus.PENDING, False)
+    contract.receive(translate(hop_origin(tx), "n0", MSET, KEYS["n0"]), expected=3, tick=0)
+    entry, resolved, dup = contract.receive(_unknown_envelope(tx), expected=3, tick=1)
+    assert (resolved, dup) == (False, False) and entry.status is VerifyStatus.PENDING
     assert list(entry.submissions) == ["n0"]
 
 
 def test_unknown_translator_is_not_counted_on_resolved_entry():
     contract, tx = _validated_contract()
-    entry, status, dup = contract.receive(_unknown_envelope(tx), expected=3, tick=5)
-    assert (status, dup) == (VerifyStatus.VALIDATED, False)
+    entry, resolved, dup = contract.receive(_unknown_envelope(tx), expected=3, tick=5)
+    assert (resolved, dup) == (False, False) and entry.status is VerifyStatus.VALIDATED
     assert sorted(entry.submissions) == ["n0", "n1"]
 
 
@@ -343,15 +378,15 @@ def test_world_contract_fails_closed_on_unknown_translator():
     world = _world()
     contract = world.contracts[BRIDGE_CHAIN_ID]
     tx = origin_tx()
-    pending = contract.receive(_unknown_envelope(tx), expected=3, tick=0)
-    assert pending[1:] == (VerifyStatus.PENDING, False)
+    entry, resolved, dup = contract.receive(_unknown_envelope(tx), expected=3, tick=0)
+    assert (resolved, dup) == (False, False) and entry.status is VerifyStatus.PENDING
     members = world.mutual_sets["A"].members
     for tick, node in enumerate(members[:2], start=1):
-        envelope = translate(tx, node, world.mutual_sets["A"], world.keys[node])
-        entry, status, _dup = contract.receive(envelope, expected=3, tick=tick)
-    assert status is VerifyStatus.VALIDATED
-    resolved = contract.receive(_unknown_envelope(tx, "ghost"), expected=3, tick=9)
-    assert resolved[1:] == (VerifyStatus.VALIDATED, False)
+        envelope = translate(hop_origin(tx), node, world.mutual_sets["A"], world.keys[node])
+        entry, resolved, _dup = contract.receive(envelope, expected=3, tick=tick)
+    assert resolved and entry.status is VerifyStatus.VALIDATED
+    entry, resolved, dup = contract.receive(_unknown_envelope(tx, "ghost"), expected=3, tick=9)
+    assert (resolved, dup) == (False, False) and entry.status is VerifyStatus.VALIDATED
     assert sorted(entry.submissions) == sorted(members[:2])
 
 
@@ -364,14 +399,14 @@ ENVELOPE_KINDS = ("honest", "corrupted", "forged", "unknown")
 def _generated_envelope(tx, node, kind, variant, mset, keys) -> TranslatedEnvelope:
     if kind == "unknown":
         return _unknown_envelope(tx, UNKNOWN)
-    honest = translate(tx, node, mset, keys[node])
+    honest = translate(hop_origin(tx), node, mset, keys[node])
     if kind == "honest":
         return honest
     corrupted = honest.canonical_body + bytes([variant])
     if kind == "forged":
         # the honest body's signature, carried on a different body
         return replace(honest, canonical_body=corrupted)
-    return translate(tx, node, mset, keys[node], corrupt=lambda _body: corrupted)
+    return translate(hop_origin(tx), node, mset, keys[node], corrupt=lambda _body: corrupted)
 
 
 @settings(max_examples=60, deadline=None)
@@ -393,18 +428,24 @@ def test_receive_matches_majority_oracle_on_generated_sequences(expected, steps)
     contract = VerificationContract("BRIDGE", lambda node: keys[node].public_key)
     tx = origin_tx()
     counted: dict[str, bytes] = {}  # first validly signed envelope per node
-    resolved = None
+    outcome = None
+    resolving_calls = 0
     for tick, (index, kind, variant) in enumerate(steps):
         node = members[index % expected]
         envelope = _generated_envelope(tx, node, kind, variant, mset, keys)
         is_duplicate = kind != "unknown" and node in counted
-        if resolved is None and kind in ("honest", "corrupted") and not is_duplicate:
+        if outcome is None and kind in ("honest", "corrupted") and not is_duplicate:
             counted[node] = envelope.canonical_body
-        entry, status, dup = contract.receive(envelope, expected=expected, tick=tick)
+        entry, resolved, dup = contract.receive(envelope, expected=expected, tick=tick)
         assert dup == is_duplicate
+        status = entry.status
         assert status.value == majority_status(expected, list(counted.values()))
-        assert entry.status is status
-        if resolved is not None:
-            assert status is resolved
-        elif status is not VerifyStatus.PENDING:
-            resolved = status
+        # only the call that takes the entry out of Pending resolves it
+        resolving_calls += resolved
+        assert resolved == (outcome is None and status is not VerifyStatus.PENDING)
+        if outcome is not None:
+            assert status is outcome
+        elif resolved:
+            outcome = status
+            assert entry.resolved_tick == tick
+    assert resolving_calls <= 1

@@ -14,6 +14,7 @@ from forensicross.lifecycle import (
     OrgChainState,
     check_access,
 )
+from forensicross.payloads import decode_payload
 from forensicross.scenario import (
     ACTION_ACCESS,
     ACTION_CREATE_CASE,
@@ -97,15 +98,16 @@ def test_data_access_logs_denials_too():
     org = org_with_user(role="analyst")
     org.apply_case_create("C-7", "A", ("B",), USER.public_key)
     org.apply_policy("C-7", default_policy())
-    tx, entry = org.data_access_tx(USER, "C-7", Action.UPLOAD, hash_bytes(b"p"), tick=3)
-    assert entry.decision == DENIED
+    tx, payload = org.data_access_tx(USER, "C-7", Action.UPLOAD, hash_bytes(b"p"))
+    assert payload.decision == DENIED
     assert tx.payload_kind is PayloadKind.DATA_ACCESS_LOG  # denied yet still mined
+    assert decode_payload(tx.payload_kind, tx.body) == payload
 
 
 def test_data_access_unknown_case():
     org = org_with_user()
     with pytest.raises(UnknownCase):
-        org.data_access_tx(USER, "C-404", Action.READ, hash_bytes(b"p"), tick=0)
+        org.data_access_tx(USER, "C-404", Action.READ, hash_bytes(b"p"))
 
 
 # -- simulator-backed checks ---------------------------------------------------
@@ -187,4 +189,8 @@ def test_log_completeness_every_attempt_is_mined(scenario_dir):
             if tx.payload_kind is PayloadKind.DATA_ACCESS_LOG
         ]
         assert len(attempts) == len(mined)
-        assert len(world.org[chain].access_log) == len(attempts)
+        # the chain is the access log: each attempt's decision is on chain
+        logged = [decode_payload(tx.payload_kind, tx.body) for tx in mined]
+        assert [(e["tx_id"], e["stage"], e["decision"]) for e in attempts] == [
+            (tx.tx_id, p.stage, p.decision) for tx, p in zip(mined, logged)
+        ]
