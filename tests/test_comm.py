@@ -283,6 +283,16 @@ def test_route_refuses_destinations_that_are_not_other_chains_each_once(design, 
     assert not world.chains["A"].pending_pool and not world.events
 
 
+@pytest.mark.parametrize("design", [Design.MESH, Design.BRIDGE], ids=lambda d: d.value)
+def test_a_built_scenario_naming_its_own_chain_is_an_action_error(design):
+    # the loader refuses these rows; a scenario built in code reaches World
+    scenario = make_comparison_scenario(3, design)
+    row = replace(scenario.workload[0], destinations=("A", "C"))
+    world = run_scenario(replace(scenario, workload=(row,)))
+    errors = [e["error"] for e in world.events if e["event"] == "action_error"]
+    assert errors == ["InvalidDestinations"] and not world.reports
+
+
 # -- check order in receive ---------------------------------------------------
 
 
