@@ -111,6 +111,29 @@ def test_error_path_artifacts_match_golden_hashes(scenario_dir, tmp_path):
     assert _artifact_hashes(world, tmp_path) == ERROR_GOLDEN
 
 
+# No bundled scenario ends a report `validated-malicious`. With A.m1 also
+# equivocating from tick 0, faulty_nodes' C-1 (and C-2, before A.m1 turns to
+# dropping) is carried to the bridge by a colluding 2-of-3 majority of A's
+# mutual nodes.
+MALICIOUS_FAULT = {"tick": 0, "kind": "compromise-mutual-node", "node": "A.m1",
+                   "rule": "equivocate"}
+# (sha256 of events.jsonl, sha256 of metrics.csv)
+MALICIOUS_GOLDEN = (
+    "b8cd3a0d7ddadfa2ca67bb0cff1291fa9778958ae549dfd8fd8ee910dd50650f",
+    "22259820a3ef8438830b9dfcf75e74c1bd9d7735f8ab06c654de361814b6acc3",
+)
+
+
+def test_malicious_outcome_artifacts_match_golden_hashes(scenario_dir, tmp_path):
+    data = yaml.safe_load((scenario_dir / "faulty_nodes.yaml").read_text(encoding="utf-8"))
+    data["faults"] = [MALICIOUS_FAULT] + data["faults"]
+    world = run_scenario(scenario_from_dict(data, name="faulty_nodes_malicious"))
+
+    statuses = [r.status for r in world.reports.values()]
+    assert statuses == ["validated-malicious", "validated-malicious", "expired"]
+    assert _artifact_hashes(world, tmp_path)[:2] == MALICIOUS_GOLDEN
+
+
 # --tamper specs: (exit code, sha256 of bundle.json, sha256 of tamper_report.json)
 DEMO_GOLDEN = {
     (): (
