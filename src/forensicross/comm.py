@@ -7,6 +7,11 @@ the receiving contract (bridge or destination). The contract validates a
 body once strictly more than half of the expected mutual nodes have
 submitted byte-identical copies; once no body can still reach that
 threshold the entry is rejected.
+
+A `DeliveryReport` keeps only the hops of a routed transaction. A verify
+hop's status is the outcome at its chain (validated, forwarded, rejected,
+expired, validated-malicious or registry-rejected); the report's status is
+its last refusal, else delivered once validated hops suffice, else pending.
 """
 from __future__ import annotations
 
@@ -217,28 +222,68 @@ class Hop:
     chain: str
     tick: int
     message_count: int
-    status: str
+    status: str  # "ok" on the receipt; a verify hop's outcome at its chain
+
+
+REFUSALS = ("rejected", "expired", "validated-malicious", "registry-rejected")
+ACCEPTED = ("validated", "validated-malicious", "registry-rejected")
 
 
 @dataclass
 class DeliveryReport:
-    """Every hop a routed transaction took, with logical times and counts."""
+    """Every hop a routed transaction took, with logical times and counts;
+    every other fact of the report is read from them.
+
+    The first hop is the mutual receipt. A verify hop's status is the
+    outcome at its chain: "validated" (applied, and final there),
+    "forwarded" (the bridge applied it and sent it on), or a refusal. The
+    report's `status` is its last refusal; without one it is "delivered"
+    once a bridge-verify hop is "validated" or "validated" hops cover every
+    destination (one suffices when there are none), and "pending" before.
+    """
 
     tx_id: str
     kind: str
     origin_chain: str
     destinations: tuple[str, ...]
     hops: list[Hop] = field(default_factory=list)
-    mutual_receipt_tick: int | None = None
-    accepted_ticks: dict[str, int] = field(default_factory=dict)
-    status: str = "pending"
-    winning_is_honest: bool | None = None
+
+    @property
+    def mutual_receipt_tick(self) -> int | None:
+        return self.hops[0].tick if self.hops else None
+
+    @property
+    def accepted_ticks(self) -> dict[str, int]:
+        return {h.chain: h.tick for h in self.hops if h.status in ACCEPTED}
+
+    @property
+    def status(self) -> str:
+        refusals = [h.status for h in self.hops if h.status in REFUSALS]
+        if refusals:
+            return refusals[-1]
+        validated = [h for h in self.hops if h.status == "validated"]
+        if any(h.hop == "bridge-verify" for h in validated) or (
+            validated and set(self.destinations) <= {h.chain for h in validated}
+        ):
+            return "delivered"
+        return "pending"
+
+    @property
+    def winning_is_honest(self) -> bool | None:
+        """False once a dishonest body won anywhere, else True once one won."""
+        statuses = {h.status for h in self.hops}
+        if "validated-malicious" in statuses:
+            return False
+        if statuses & {"validated", "forwarded", "registry-rejected"}:
+            return True
+        return None
 
     @property
     def duration(self) -> int | None:
-        if self.mutual_receipt_tick is None or not self.accepted_ticks:
+        accepted = self.accepted_ticks
+        if not accepted:
             return None
-        return max(self.accepted_ticks.values()) - self.mutual_receipt_tick
+        return max(accepted.values()) - self.mutual_receipt_tick
 
     @property
     def verification_events(self) -> int:

@@ -81,12 +81,6 @@ PHASE_DELIVER = 0
 PHASE_ACTION = 1
 PHASE_MINE = 2
 
-STATUS_DELIVERED = "delivered"
-STATUS_REJECTED = "rejected"
-STATUS_EXPIRED = "expired"
-STATUS_MALICIOUS = "validated-malicious"
-STATUS_REGISTRY_REJECTED = "registry-rejected"
-
 
 def flip_last_byte(data: bytes) -> bytes:
     """Equivocation rule: a deterministic wrong translation, identical across
@@ -130,39 +124,29 @@ class World:
     # -- construction ---------------------------------------------------------
 
     def _build_topology(self) -> None:
+        """Give each link its mutual node set, under both of its directions
+        in `links`: an organization chain with the bridge, or a pair of
+        chains in the mesh. A chain's nodes are the mutual nodes of its
+        links, in link order, then fillers up to its size."""
         s = self.scenario
-        self.chain_ids = s.chain_ids
-        self.mutual_sets: dict[str, MutualNodeSet] = {}
-        self.pair_sets: dict[tuple[str, str], MutualNodeSet] = {}
-        self.node_names: dict[str, list[str]] = {}
-
+        self.chain_ids = ids = s.chain_ids
         if self.design is Design.BRIDGE:
-            bridge_members: list[str] = []
-            for c in self.chain_ids:
-                members = tuple(f"{c}.m{i}" for i in range(s.mutual_per_chain))
-                self.mutual_sets[c] = MutualNodeSet(c, members)
-                bridge_members.extend(members)
-                fillers = [f"{c}.r{i}" for i in range(s.nodes_per_chain - s.mutual_per_chain)]
-                self.node_names[c] = list(members) + fillers
-            bridge_fillers = [
-                f"{BRIDGE_CHAIN_ID}.r{i}"
-                for i in range(s.bridge_nodes - len(bridge_members))
-            ]
-            self.node_names[BRIDGE_CHAIN_ID] = bridge_members + bridge_fillers
+            links = [(c, BRIDGE_CHAIN_ID, c) for c in ids]
+            sizes = dict.fromkeys(ids, s.nodes_per_chain) | {BRIDGE_CHAIN_ID: s.bridge_nodes}
         else:
-            per_chain: dict[str, list[str]] = {c: [] for c in self.chain_ids}
-            for a_idx, a in enumerate(self.chain_ids):
-                for b in self.chain_ids[a_idx + 1:]:
-                    label = f"{a}~{b}"
-                    members = tuple(f"{label}.m{i}" for i in range(s.mutual_per_chain))
-                    self.pair_sets[(a, b)] = MutualNodeSet(label, members)
-                    per_chain[a].extend(members)
-                    per_chain[b].extend(members)
-            for c in self.chain_ids:
-                fillers = [
-                    f"{c}.r{i}" for i in range(s.nodes_per_chain - len(per_chain[c]))
-                ]
-                self.node_names[c] = per_chain[c] + fillers
+            links = [(a, b, f"{a}~{b}") for i, a in enumerate(ids) for b in ids[i + 1:]]
+            sizes = dict.fromkeys(ids, s.nodes_per_chain)
+        self.links: dict[tuple[str, str], MutualNodeSet] = {}
+        members: dict[str, list[str]] = {c: [] for c in sizes}
+        for a, b, label in links:
+            mset = MutualNodeSet(label, tuple(f"{label}.m{i}" for i in range(s.mutual_per_chain)))
+            self.links[(a, b)] = self.links[(b, a)] = mset
+            members[a].extend(mset.members)
+            members[b].extend(mset.members)
+        self.node_names: dict[str, list[str]] = {
+            c: names + [f"{c}.r{i}" for i in range(sizes[c] - len(names))]
+            for c, names in members.items()
+        }
 
     def _build_keys_and_chains(self) -> None:
         s = self.scenario
@@ -474,20 +458,15 @@ class World:
         )
 
     def _start_routing(self, tx: Transaction, chain_id: str, tick: int) -> None:
-        """Translate `tx`, mined on `chain_id`, towards its next hops: an
-        organization chain sends to the bridge (bridge design) or to each
-        destination through the pair's mutual nodes (mesh design); the
-        bridge sends to each destination through that chain's mutual nodes."""
-        if chain_id == BRIDGE_CHAIN_ID:
-            hops = [(self.mutual_sets[dest], dest) for dest in tx.destination_chains]
-        elif self.design is Design.BRIDGE:
-            hops = [(self.mutual_sets[chain_id], BRIDGE_CHAIN_ID)]
+        """Translate `tx`, mined on `chain_id`, towards its next hops, each
+        through the mutual nodes of that link: an organization chain of the
+        bridge design sends to the bridge, any other chain to each of the
+        transaction's destinations."""
+        if self.design is Design.BRIDGE and chain_id != BRIDGE_CHAIN_ID:
+            targets = (BRIDGE_CHAIN_ID,)
         else:
-            hops = [
-                (self.pair_sets[tuple(sorted((chain_id, dest)))], dest)
-                for dest in tx.destination_chains
-            ]
-        if not hops:
+            targets = tx.destination_chains
+        if not targets:
             return
         # the bridge's record of a validated origin forwards that origin;
         # anything else, bridge control traffic included, is its own origin.
@@ -496,12 +475,12 @@ class World:
         if tx.payload_kind is not PayloadKind.INTERCHAIN_ENVELOPE:
             self.reports[origin.tx_id] = DeliveryReport(
                 tx_id=origin.tx_id, kind=tx.payload_kind.value, origin_chain=chain_id,
-                destinations=tx.destination_chains, mutual_receipt_tick=tick,
+                destinations=tx.destination_chains,
                 hops=[Hop("mutual-receipt", chain_id, tick, 0, "ok")],
             )
             self._honest_bodies[origin.tx_id] = origin.body
-        for mset, target_chain in hops:
-            self._send_translations(origin, mset, target_chain, tick)
+        for target in targets:
+            self._send_translations(origin, self.links[(chain_id, target)], target, tick)
 
     def _deliver_envelope(self, target_chain: str, envelope, expected: int, tick: int) -> None:
         self.envelopes_delivered += 1
@@ -523,17 +502,14 @@ class World:
         elif resolved:
             self._on_rejected(target_chain, entry, tick)
 
-    def _verify_hop(
-        self, target_chain: str, origin_id: str, tick: int, outcome: str
-    ) -> DeliveryReport | None:
-        """Append the verification hop at `target_chain` to the origin's
-        report, if it has one, and return the report."""
+    def _verify_hop(self, target_chain: str, origin_id: str, tick: int, outcome: str) -> None:
+        """Append the verification hop at `target_chain`, with its outcome
+        there, to the origin's report, if it has one."""
         report = self.reports.get(origin_id)
         if report is not None:
             hop = "bridge-verify" if target_chain == BRIDGE_CHAIN_ID else "destination-verify"
             messages = self._messages_to.get((target_chain, origin_id), 0)
             report.hops.append(Hop(hop, target_chain, tick, messages, outcome))
-        return report
 
     def _check_timeout(self, target_chain: str, origin_id: str, expected: int, tick: int) -> None:
         # a hop whose every envelope was dropped has no entry until now
@@ -543,9 +519,7 @@ class World:
         entry.status = VerifyStatus.EXPIRED
         entry.resolved_tick = tick
         self.emit(tick, "envelope_expired", chain=target_chain, origin_tx=origin_id)
-        report = self._verify_hop(target_chain, origin_id, tick, "expired")
-        if report is not None:
-            report.status = STATUS_EXPIRED
+        self._verify_hop(target_chain, origin_id, tick, "expired")
 
     def _on_rejected(self, target_chain: str, entry, tick: int) -> None:
         origin_id = entry.origin_tx_id
@@ -554,9 +528,7 @@ class World:
             chain=target_chain, origin_tx=origin_id, status=VerifyStatus.REJECTED.value,
             messages=self._messages_to.get((target_chain, origin_id), 0), honest=None,
         )
-        report = self._verify_hop(target_chain, origin_id, tick, "rejected")
-        if report is not None:
-            report.status = STATUS_REJECTED
+        self._verify_hop(target_chain, origin_id, tick, "rejected")
 
     def _on_validated(self, target_chain: str, entry, tick: int) -> None:
         """Apply a majority-validated origin at `target_chain`: the bridge
@@ -573,15 +545,9 @@ class World:
             chain=target_chain, origin_tx=origin_id, status=VerifyStatus.VALIDATED.value,
             messages=self._messages_to.get((target_chain, origin_id), 0), honest=is_honest,
         )
-        report = self._verify_hop(target_chain, origin_id, tick, "validated")
         if is_honest is False:
-            if report is not None:
-                report.status = STATUS_MALICIOUS
-                report.winning_is_honest = False
-                report.accepted_ticks[target_chain] = tick
+            self._verify_hop(target_chain, origin_id, tick, "validated-malicious")
             return
-        if report is not None and report.winning_is_honest is None:
-            report.winning_is_honest = True
         forward: tuple[str, ...] = ()
         op = PayloadKind.INTERCHAIN_ENVELOPE.value  # until the origin decodes
         try:
@@ -601,27 +567,14 @@ class World:
                 tick, "registry_error",
                 op=op, error=type(exc).__name__, detail=str(exc),
             )
-            if report is not None:
-                report.status = STATUS_REGISTRY_REJECTED
-                report.accepted_ticks[target_chain] = tick
+            self._verify_hop(target_chain, origin_id, tick, "registry-rejected")
             return
+        self._verify_hop(target_chain, origin_id, tick, "forwarded" if forward else "validated")
         record = make_transaction(
             PayloadKind.INTERCHAIN_ENVELOPE, entry.winning_body,
             target_chain, forward, self.contract_keys[target_chain],
         )
         self._submit_local(target_chain, record, tick)
-        if report is None or forward:
-            return
-        report.accepted_ticks[target_chain] = tick
-        if report.status in (STATUS_MALICIOUS, STATUS_REGISTRY_REJECTED):
-            return  # a refusal at another destination is final
-        # the bridge delivers whatever it does not forward; otherwise delivery
-        # completes when the last destination accepts
-        if (
-            target_chain == BRIDGE_CHAIN_ID
-            or set(report.destinations).issubset(report.accepted_ticks)
-        ):
-            report.status = STATUS_DELIVERED
 
     # -- bridge-side handlers: registry call, event, chains to forward to ------------------
 
@@ -976,11 +929,7 @@ def compare_designs(k_min: int, k_max: int, pattern: str = "single") -> list[dic
             ]
             durations = [r.duration for r in case_reports if r.duration is not None]
             name = design.value
-            if design is Design.MESH:
-                mutual = sum(s.size for s in world.pair_sets.values())
-            else:
-                mutual = sum(s.size for s in world.mutual_sets.values())
-            row[f"{name}_mutual"] = mutual
+            row[f"{name}_mutual"] = sum(s.size for s in set(world.links.values()))
             row[f"{name}_duration"] = (
                 sum(durations) / len(durations) if durations else None
             )

@@ -1,6 +1,6 @@
 import random
 from dataclasses import replace
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from forensicross import comm
 from forensicross.chain import PayloadKind, Transaction, make_transaction
 from forensicross.comm import (
+    DeliveryReport,
+    Hop,
     HopOrigin,
     LedgerEntry,
     MutualNodeSet,
@@ -293,6 +295,94 @@ def test_a_built_scenario_naming_its_own_chain_is_an_action_error(design):
     assert errors == ["InvalidDestinations"] and not world.reports
 
 
+# -- a report read from its hops ----------------------------------------------
+
+REFUSALS = ("rejected", "expired", "validated-malicious", "registry-rejected")
+
+
+def _report(destinations: tuple[str, ...], *hops: tuple[str, str, int, str]) -> DeliveryReport:
+    """A report with a mutual receipt on A at tick 0, then one verify hop per
+    (hop, chain, tick, status) row."""
+    report = DeliveryReport("A:1", "CaseCreate", "A", destinations)
+    report.hops = [Hop("mutual-receipt", "A", 0, 0, "ok")]
+    report.hops += [Hop(hop, chain, tick, 3, status) for hop, chain, tick, status in hops]
+    return report
+
+
+@pytest.mark.parametrize("destinations", [("B", "C", "D"), ()], ids=["case", "stage-proposal"])
+@pytest.mark.parametrize("refusal", REFUSALS)
+def test_one_refusal_among_validated_hops_is_final_in_every_order(destinations, refusal):
+    rows = [
+        ("destination-verify", "B", 0, "validated"),
+        ("destination-verify", "C", 0, "validated"),
+        ("destination-verify", "D", 0, refusal),
+    ]
+    for order in permutations(rows):
+        hops = [(hop, chain, tick, status) for tick, (hop, chain, _t, status) in enumerate(order, 1)]
+        assert _report(destinations, *hops).status == refusal, order
+
+
+@pytest.mark.parametrize("first,last", list(permutations(REFUSALS, 2)))
+def test_the_last_of_two_refusals_names_the_status(first, last):
+    report = _report(
+        ("B", "C", "D"),
+        ("destination-verify", "B", 1, first),
+        ("destination-verify", "C", 2, "validated"),
+        ("destination-verify", "D", 3, last),
+    )
+    assert report.status == last
+
+
+def test_a_forwarded_hop_gives_no_accepted_tick():
+    report = _report(("B",), ("bridge-verify", "BRIDGE", 1, "forwarded"))
+    assert (report.accepted_ticks, report.duration, report.status) == ({}, None, "pending")
+    report.hops.append(Hop("destination-verify", "B", 2, 3, "validated"))
+    assert (report.accepted_ticks, report.duration, report.status) == ({"B": 2}, 2, "delivered")
+
+
+def test_a_bridge_verify_hop_that_validates_delivers():
+    report = _report(("B",), ("bridge-verify", "BRIDGE", 1, "validated"))
+    assert report.status == "delivered" and report.accepted_ticks == {"BRIDGE": 1}
+
+
+def test_a_report_with_no_destinations_is_delivered_by_its_first_validated_one():
+    # a stage proposal names no destinations; the bridge picks the chains
+    report = _report((), ("bridge-verify", "BRIDGE", 1, "forwarded"))
+    assert report.status == "pending"
+    report.hops.append(Hop("destination-verify", "B", 2, 3, "validated"))
+    assert report.status == "delivered"
+    report.hops.append(Hop("destination-verify", "C", 3, 3, "validated"))
+    assert report.status == "delivered" and report.duration == 3
+
+
+def test_every_destination_must_validate_before_delivery():
+    report = _report(("B", "C"), ("destination-verify", "B", 1, "validated"))
+    assert report.status == "pending"
+    report.hops.append(Hop("destination-verify", "C", 4, 3, "validated"))
+    assert report.status == "delivered" and report.duration == 4
+
+
+@pytest.mark.parametrize("statuses,honest,duration", [
+    ((), None, None),
+    (("expired",), None, None),
+    (("rejected",), None, None),
+    (("forwarded",), True, None),
+    (("forwarded", "registry-rejected"), True, 2),
+    (("forwarded", "validated", "rejected"), True, 2),
+    (("validated", "validated-malicious"), False, 2),
+    (("validated-malicious", "validated"), False, 2),
+    (("validated-malicious", "expired"), False, 1),
+])
+def test_honesty_and_duration_follow_from_the_hops(statuses, honest, duration):
+    report = _report(
+        ("B", "C", "D"),
+        *(("destination-verify", chain, tick, status)
+          for tick, (chain, status) in enumerate(zip("BCD", statuses), 1)),
+    )
+    assert report.mutual_receipt_tick == 0
+    assert (report.winning_is_honest, report.duration) == (honest, duration)
+
+
 # -- check order in receive ---------------------------------------------------
 
 
@@ -390,9 +480,10 @@ def test_world_contract_fails_closed_on_unknown_translator():
     tx = origin_tx()
     entry, resolved, dup = contract.receive(_unknown_envelope(tx), expected=3, tick=0)
     assert (resolved, dup) == (False, False) and entry.status is VerifyStatus.PENDING
-    members = world.mutual_sets["A"].members
+    mset = world.links[("A", BRIDGE_CHAIN_ID)]
+    members = mset.members
     for tick, node in enumerate(members[:2], start=1):
-        envelope = translate(hop_origin(tx), node, world.mutual_sets["A"], world.keys[node])
+        envelope = translate(hop_origin(tx), node, mset, world.keys[node])
         entry, resolved, _dup = contract.receive(envelope, expected=3, tick=tick)
     assert resolved and entry.status is VerifyStatus.VALIDATED
     entry, resolved, dup = contract.receive(_unknown_envelope(tx, "ghost"), expected=3, tick=9)

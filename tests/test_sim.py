@@ -303,12 +303,12 @@ def test_valid_topology_instantiates_with_disjoint_mutual_sets():
     # pairwise-disjoint mutual sets of the declared odd size
     for k in (2, 4, 6):
         bridge = World(make_comparison_scenario(k, Design.BRIDGE))
-        sets = [set(s.members) for s in bridge.mutual_sets.values()]
+        sets = [set(s.members) for s in set(bridge.links.values())]
         assert all(len(s) == 3 for s in sets)
         assert len(set().union(*sets)) == 3 * k  # no overlap
         assert all(m in bridge.node_names["BRIDGE"] for s in sets for m in s)
         mesh = World(make_comparison_scenario(k, Design.MESH))
-        pair_sets = [set(s.members) for s in mesh.pair_sets.values()]
+        pair_sets = [set(s.members) for s in set(mesh.links.values())]
         assert len(pair_sets) == k * (k - 1) // 2
         assert len(set().union(*pair_sets)) == 3 * len(pair_sets)
 
