@@ -343,8 +343,11 @@ class World:
     # -- chain plumbing --------------------------------------------------------------
 
     def _require_destinations(self, source: str, destinations: tuple[str, ...]) -> None:
-        """Routing has no pair of a chain with itself, and a case that names
-        a chain twice waits for a vote that chain cannot cast twice."""
+        """Only an organization chain routes from itself; routing has no pair
+        of a chain with itself, and a case that names a chain twice waits
+        for a vote that chain cannot cast twice."""
+        if source not in self.org:
+            raise InvalidDestinations(f"{source} -> {list(destinations)}: unknown source chain")
         if source in destinations or len(self.org.keys() & set(destinations)) != len(destinations):
             raise InvalidDestinations(
                 f"{source} -> {list(destinations)}: not other known chains, each once"

@@ -23,7 +23,7 @@ from forensicross.comm import (
     verify_translations,
 )
 from forensicross.crypto import KeyPair, sign
-from forensicross.errors import InvalidDestinations
+from forensicross.errors import ForensicrossError, InvalidDestinations
 from forensicross.scenario import FAULT_COMPROMISE, RULE_DROP, RULE_EQUIVOCATE, FaultSpec
 from forensicross.payloads import CaseCreatePayload, payload_transaction
 from forensicross.sim import (
@@ -293,6 +293,15 @@ def test_a_built_scenario_naming_its_own_chain_is_an_action_error(design):
     world = run_scenario(replace(scenario, workload=(row,)))
     errors = [e["error"] for e in world.events if e["event"] == "action_error"]
     assert errors == ["InvalidDestinations"] and not world.reports
+
+
+def test_route_refuses_a_source_that_is_not_a_chain_of_the_world():
+    world = _world(design=Design.MESH)
+    user_key = world.users["creator"][1]
+    tx = payload_transaction(CaseCreatePayload("C-9"), "Z", user_key, ("B",))
+    with pytest.raises(ForensicrossError):
+        route_transaction(tx, world)
+    assert not world.events
 
 
 # -- a report read from its hops ----------------------------------------------
