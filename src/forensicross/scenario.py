@@ -70,6 +70,19 @@ def chain_names(k: int) -> list[str]:
     return [f"C{i + 1}" for i in range(k)]
 
 
+def is_chain_name(name, k: int) -> bool:
+    """Whether `name in chain_names(k)`, without building the k names."""
+    if not isinstance(name, str):
+        return False
+    if k <= 26:
+        return len(name) == 1 and name in string.ascii_uppercase[:k]
+    digits = name[1:]
+    return (
+        name[:1] == "C" and digits.isascii() and digits.isdigit() and digits[0] != "0"
+        and len(digits) <= len(str(k)) and int(digits) <= k
+    )
+
+
 @dataclass(frozen=True)
 class UserSpec:
     name: str
@@ -306,17 +319,17 @@ def scenario_from_dict(data: dict, name: str) -> Scenario:
         raise ScenarioError(f"scenario: {exc}") from exc
     topo = _read_fields(top["topology"], TOPOLOGY_FIELDS, "topology")
     k, n_i = topo["chains"], topo["mutual_per_chain"]
-    chains = set(chain_names(k))
+    known = partial(is_chain_name, k=k)
 
     block_times = top.get("block_time", {"default": 1})
-    bad = block_times.keys() - chains - {"default", BRIDGE_CHAIN_ID}
+    bad = [c for c in block_times if c not in ("default", BRIDGE_CHAIN_ID) and not known(c)]
     if bad:
         raise ScenarioError(f"block_time: unknown chains {sorted(bad, key=str)}")
 
     users = _rows(top, "users", UserSpec)
     user_names = set()
     for i, user in enumerate(users):
-        if user.chain not in chains:
+        if not known(user.chain):
             raise ScenarioError(f"users[{i}]: unknown chain {user.chain!r}")
         if user.name in user_names:
             raise ScenarioError(f"users[{i}]: duplicate user {user.name!r}")
@@ -332,7 +345,7 @@ def scenario_from_dict(data: dict, name: str) -> Scenario:
         if design is Design.MESH and a.action in BRIDGE_ONLY_ACTIONS:
             raise ScenarioError(f"{context}: action {a.action!r} requires the bridge design")
         for chain in (a.chain, *a.destinations):
-            if chain not in chains:
+            if not known(chain):
                 raise ScenarioError(f"{context}: workload references unknown chain {chain!r}")
         if a.chain in a.destinations or len(set(a.destinations)) != len(a.destinations):
             raise ScenarioError(
@@ -349,7 +362,7 @@ def scenario_from_dict(data: dict, name: str) -> Scenario:
 
     votes = _rows(top, "votes", VoteSpec)
     for i, vote in enumerate(votes):
-        if vote.chain not in chains:
+        if not known(vote.chain):
             raise ScenarioError(f"votes[{i}]: unknown chain {vote.chain!r}")
         if vote.vote not in ("approve", "reject"):
             raise ScenarioError(f"votes[{i}]: vote must be approve or reject")
@@ -365,7 +378,7 @@ def scenario_from_dict(data: dict, name: str) -> Scenario:
         fault = FaultSpec(**_read_fields(raw, FAULT_FIELDS[kind], context))
         if kind == FAULT_COMPROMISE and fault.rule not in (RULE_EQUIVOCATE, RULE_DROP):
             raise ScenarioError(f"{context}: unknown corruption rule {fault.rule!r}")
-        if kind == FAULT_TAMPER and fault.chain not in chains:
+        if kind == FAULT_TAMPER and not known(fault.chain):
             raise ScenarioError(f"{context}: unknown chain {fault.chain!r}")
         faults.append(fault)
 

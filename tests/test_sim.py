@@ -1,5 +1,7 @@
 import hashlib
 import json
+import string
+import tracemalloc
 from dataclasses import fields, replace
 from types import SimpleNamespace
 
@@ -40,6 +42,8 @@ from forensicross.scenario import (
     VoteSpec,
     WORKLOAD_ACTIONS,
     WorkloadAction,
+    chain_names,
+    is_chain_name,
     load_scenario,
     scenario_from_dict,
 )
@@ -163,6 +167,27 @@ def test_workload_referencing_unknown_chain_is_rejected():
     }
     with pytest.raises(ScenarioError, match="unknown chain"):
         scenario_from_dict(data, "x")
+
+
+def test_an_absurd_chain_count_is_refused_without_building_its_names(scenario_dir):
+    data = yaml.safe_load((scenario_dir / "bridge_small.yaml").read_text(encoding="utf-8"))
+    data["topology"]["chains"] = 1_000_000  # its chains are C1..C1000000, so A is unknown
+    tracemalloc.start()
+    try:
+        with pytest.raises(ScenarioError, match=r"users\[0\]: unknown chain 'A'"):
+            scenario_from_dict(data, "x")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize("k", [1, 2, 25, 26, 27, 99, 100, 101])
+def test_is_chain_name_agrees_with_chain_names(k):
+    names = set(chain_names(k))
+    others = {"", "a", "AA", "C", "C0", "C01", f"C{k + 1}", "C\u0661", "C\u00b2", " C1", "BRIDGE", 1, None}
+    candidates = names | others | set(string.ascii_uppercase) | set(chain_names(200))
+    assert {c for c in candidates if is_chain_name(c, k)} == names
 
 
 def test_unknown_scenario_keys_are_errors():
