@@ -1,16 +1,24 @@
-"""No module of the package keeps a module-level import it never uses.
+"""No module of the package, the tests or the demos keeps a module-level
+import it never uses.
 
-No linter runs on this repository, and a deletion easily leaves a dead
-import behind. `__init__.py` is left out: its imports are the package's
-exports.
+No linter runs on this repository, and a deletion or a rename easily leaves
+a dead import behind. `__init__.py` is left out: its imports are the
+package's exports. So is `import *`, which binds no name of its own.
 """
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).parent.parent / "src" / "forensicross"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).parent.parent
+PACKAGE = ROOT / "src" / "forensicross"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py") + sorted(
+    p for pattern in ("tests/*.py", "demos/*.py") for p in ROOT.glob(pattern)
+)
+
+
+def _module_id(module: Path) -> str:
+    return module.stem if module.parent == PACKAGE else f"{module.parent.name}/{module.stem}"
 
 
 def _imported_names(tree: ast.Module) -> dict[str, int]:
@@ -21,6 +29,8 @@ def _imported_names(tree: ast.Module) -> dict[str, int]:
             continue
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
+                if alias.name == "*":
+                    continue
                 bound = alias.asname or alias.name.split(".")[0]
                 names[bound] = node.lineno
     return names
@@ -45,7 +55,7 @@ def test_modules_are_found():
     assert MODULES  # an empty glob would parametrize no test at all
 
 
-@pytest.mark.parametrize("module", MODULES, ids=[m.stem for m in MODULES])
+@pytest.mark.parametrize("module", MODULES, ids=[_module_id(m) for m in MODULES])
 def test_no_unused_module_level_import(module):
     tree = ast.parse(module.read_text(encoding="utf-8"))
     used = _used_names(tree)
@@ -54,4 +64,4 @@ def test_no_unused_module_level_import(module):
         for name, line in _imported_names(tree).items()
         if name not in used
     )
-    assert not unused, f"{module.name} imports names it never uses: {unused}"
+    assert not unused, f"{_module_id(module)} imports names it never uses: {unused}"
