@@ -270,7 +270,8 @@ class DeliveryReport:
 
     @property
     def winning_is_honest(self) -> bool | None:
-        """False once a dishonest body won anywhere, else True once one won."""
+        """False once a dishonest body won a vote anywhere, else True once
+        an honest one did."""
         statuses = {h.status for h in self.hops}
         if "validated-malicious" in statuses:
             return False
