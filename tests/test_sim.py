@@ -82,6 +82,22 @@ def test_conservation_no_silent_loss(scenario_dir, name):
     assert numbers["entries_unresolved"] == 0
 
 
+ENVELOPES_SENT = {
+    "lifecycle_full": 165, "tamper_demo": 93, "bridge_small": 48, "mesh_small": 9,
+    "faulty_nodes": 12,
+}
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_conservation_totals_are_pinned(scenario_dir, name):
+    world = run_scenario(load_scenario(scenario_dir / f"{name}.yaml"))
+    sent = ENVELOPES_SENT[name]
+    assert world.conservation() == {
+        "envelopes_sent": sent, "envelopes_delivered": sent, "entries_unresolved": 0,
+    }
+    assert world.envelopes_sent == sent
+
+
 def test_different_seed_changes_event_log(scenario_dir):
     scenario = load_scenario(scenario_dir / "bridge_small.yaml")
     a = run_scenario(scenario)
