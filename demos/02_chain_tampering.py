@@ -31,8 +31,7 @@ for height in range(6):
             user,
         )
         chain.submit_transaction(tx)
-    chain.clock = height
-    block = chain.mine_block(validators[height % 3])
+    block = chain.mine_block(validators[height % 3], timestamp=height)
     print(f"mined block {block.height}: {len(block.transactions)} txs, "
           f"hash {block.header_digest().hex()[:16]}…")
 

@@ -217,7 +217,6 @@ class Chain:
         self.authority_set = list(authority_set)
         self.blocks: list[Block] = []
         self.pending_pool: list[Transaction] = []
-        self.clock = 0
         self._tx_counter = 0
         self._seen_tx_ids: set[str] = set()
 
@@ -253,17 +252,18 @@ class Chain:
         """Round-robin POA schedule over the authority set."""
         return self.authority_set[height % len(self.authority_set)]
 
-    def mine_block(self, validator: KeyPair, timestamp: int | None = None) -> Block:
+    def mine_block(self, validator: KeyPair, timestamp: int = 0) -> Block:
         """Seal the pending pool into the next block, signed by `validator`,
-        which must be the authority `expected_validator` schedules for it."""
+        which must be the authority `expected_validator` schedules for it.
+        `timestamp` is the caller's clock, kept in the signed header; the
+        chain keeps no clock of its own."""
         if validator.public_key != self.expected_validator(len(self.blocks)):
             raise UnauthorizedValidator(self.chain_id)
         height = len(self.blocks)
-        ts = self.clock if timestamp is None else timestamp
         prev = self.blocks[-1].header_digest() if self.blocks else ZERO_DIGEST
         txs = tuple(self.pending_pool)
         root = tx_root(txs)
-        digest = hash_bytes(_header_bytes(height, prev, root, ts, validator.public_key))
+        digest = hash_bytes(_header_bytes(height, prev, root, timestamp, validator.public_key))
         block = Block(
             height=height,
             prev_hash=prev,
@@ -271,7 +271,7 @@ class Chain:
             transactions=txs,
             validator_public_key=validator.public_key,
             validator_signature=sign(digest, validator),
-            timestamp=ts,
+            timestamp=timestamp,
         )
         # the signature is outside the header, so the digest it signs is the
         # sealed block's header digest: seed the memo instead of hashing again

@@ -11,7 +11,7 @@ leaves for export only; localization compares leaves and computes none.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from .chain import Transaction
 from .crypto import DIGEST_SIZE, Digest, hash_bytes, merkle_root
@@ -55,14 +55,9 @@ class OffchainCaseStore:
     def stage_lists(self, case_number: str, stage_count: int) -> list[list[Transaction]]:
         return [self.transactions(case_number, s) for s in range(stage_count)]
 
-    def tamper(
-        self,
-        case_number: str,
-        stage: int,
-        index: int,
-        mutate: Callable[[bytes], bytes] = flip_first_byte,
-    ) -> Transaction:
-        """Fault injection: replace one stored transaction's body in place.
+    def tamper(self, case_number: str, stage: int, index: int) -> Transaction:
+        """Fault injection: replace one stored transaction's body in place,
+        with its first byte flipped.
 
         Only this store changes; the chains and the bridge keep the
         original hashes, which is exactly what localization detects.
@@ -71,7 +66,7 @@ class OffchainCaseStore:
         if index < 0:  # no wrap-around: -1 names no stored position
             raise IndexError(f"transaction index {index} is negative")
         original = stage_txs[index]
-        tampered = replace(original, body=mutate(original.body))
+        tampered = replace(original, body=flip_first_byte(original.body))
         stage_txs[index] = tampered
         return tampered
 

@@ -106,15 +106,12 @@ class World:
         self.events: list[dict] = []
         self.reports: dict[str, DeliveryReport] = {}
         self.bundles: list[tuple[int, object]] = []  # (tick, ProvenanceBundle)
-        self.envelopes_sent = 0
-        self.envelopes_delivered = 0
 
         self._queue: list = []
         self._seq = 0
         self._honest_bodies: dict[str, bytes] = {}
         self._messages_to: dict[tuple[str, str], int] = {}
-        self._mine_scheduled: set[tuple[str, int]] = set()
-        self._compromised: dict[str, tuple[str, int]] = {}  # node -> (rule, since)
+        self._compromised: dict[str, str] = {}  # node -> rule
 
         self._build_topology()
         self._build_keys_and_chains()
@@ -159,7 +156,6 @@ class World:
         self.contract_keys = {
             c: KeyPair.derive(seed_label, ":contract:", c) for c in self.node_names
         }
-        self._pk_to_key = {kp.public_key: kp for kp in self.keys.values()}
         self._pk_to_name = {kp.public_key: name for name, kp in self.keys.items()}
         self.chains = {
             c: Chain(c, [self.keys[n].public_key for n in names])
@@ -315,7 +311,7 @@ class World:
         if fault.kind == FAULT_COMPROMISE:
             if fault.node not in self.keys:
                 raise ScenarioError(f"fault references unknown node {fault.node!r}")
-            self._compromised[fault.node] = (fault.rule, tick)
+            self._compromised[fault.node] = fault.rule
             self.emit(tick, "fault_activated", kind=fault.kind, node=fault.node, rule=fault.rule)
         elif fault.kind == FAULT_TAMPER:
             try:
@@ -332,13 +328,6 @@ class World:
             )
         else:
             raise ScenarioError(f"unknown fault kind {fault.kind!r}")
-
-    def _active_rule(self, node: str, tick: int) -> str | None:
-        info = self._compromised.get(node)
-        if info is None:
-            return None
-        rule, since = info
-        return rule if tick >= since else None
 
     # -- chain plumbing --------------------------------------------------------------
 
@@ -362,8 +351,12 @@ class World:
         return accepted
 
     def _submit_local(self, chain_id: str, tx: Transaction, tick: int) -> Transaction | None:
+        """Submit `tx` on `chain_id`; the first transaction of an empty
+        pending pool schedules the chain's next block, at the next multiple
+        of its block time."""
+        chain = self.chains[chain_id]
         try:
-            accepted = self.chains[chain_id].submit_transaction(tx)
+            accepted = chain.submit_transaction(tx)
         except SubmitError as exc:
             self.emit(tick, "tx_rejected", chain=chain_id, reason=exc.reason)
             return None
@@ -371,29 +364,19 @@ class World:
             tick, "tx_submitted",
             chain=chain_id, tx_id=accepted.tx_id, kind=accepted.payload_kind.value,
         )
-        self._schedule_mine(chain_id, tick)
+        if len(chain.pending_pool) == 1:
+            bt = self.scenario.block_time(chain_id)
+            self.schedule(-(-tick // bt) * bt, PHASE_MINE, partial(self._mine, chain_id))
         return accepted
-
-    def _schedule_mine(self, chain_id: str, tick: int) -> None:
-        bt = self.scenario.block_time(chain_id)
-        next_tick = tick if tick % bt == 0 else tick + (bt - tick % bt)
-        key = (chain_id, next_tick)
-        if key in self._mine_scheduled:
-            return
-        self._mine_scheduled.add(key)
-        self.schedule(next_tick, PHASE_MINE, partial(self._mine, chain_id))
 
     def _mine(self, chain_id: str, tick: int) -> None:
         chain = self.chains[chain_id]
-        if not chain.pending_pool:
-            return
-        validator = self._pk_to_key[chain.expected_validator(len(chain.blocks))]
-        block = chain.mine_block(validator, timestamp=tick)
+        validator = self._pk_to_name[chain.expected_validator(len(chain.blocks))]
+        block = chain.mine_block(self.keys[validator], timestamp=tick)
         self.emit(
             tick, "block_mined",
             chain=chain_id, height=block.height, txs=len(block.transactions),
-            validator=self._pk_to_name[block.validator_public_key],
-            hash=block.header_digest().hex(),
+            validator=validator, hash=block.header_digest().hex(),
         )
         self._on_block_mined(chain_id, block, tick)
 
@@ -437,7 +420,7 @@ class World:
         latency = self.scenario.link_latency
         sent = 0
         for node in mset.members:
-            rule = self._active_rule(node, tick)
+            rule = self._compromised.get(node)
             if rule == RULE_DROP:
                 self.emit(tick, "envelope_dropped", origin_tx=origin_id, node=node)
                 continue
@@ -453,7 +436,6 @@ class World:
                 tick + latency, PHASE_DELIVER,
                 partial(self._deliver_envelope, target_chain, envelope, mset.size),
             )
-        self.envelopes_sent += sent
         self._messages_to[(target_chain, origin_id)] = sent
         self.schedule(
             tick + latency + self.scenario.pending_timeout, PHASE_DELIVER,
@@ -486,7 +468,6 @@ class World:
             self._send_translations(origin, self.links[(chain_id, target)], target, tick)
 
     def _deliver_envelope(self, target_chain: str, envelope, expected: int, tick: int) -> None:
-        self.envelopes_delivered += 1
         contract = self.contracts[target_chain]
         entry, resolved, duplicate = contract.receive(envelope, expected, tick)
         self.emit(
@@ -803,7 +784,14 @@ class World:
 
     # -- results -----------------------------------------------------------------------------
 
+    @property
+    def envelopes_sent(self) -> int:
+        return sum(e["event"] == "envelope_sent" for e in self.events)
+
     def conservation(self) -> dict:
+        """Message conservation: the envelopes sent and delivered, counted
+        from the event log's `envelope_sent` and `envelope_received`
+        records, and the ledger entries still pending."""
         unresolved = sum(
             1
             for contract in self.contracts.values()
@@ -812,7 +800,7 @@ class World:
         )
         return {
             "envelopes_sent": self.envelopes_sent,
-            "envelopes_delivered": self.envelopes_delivered,
+            "envelopes_delivered": sum(e["event"] == "envelope_received" for e in self.events),
             "entries_unresolved": unresolved,
         }
 

@@ -56,8 +56,7 @@ def build_random_chain(
                 ["X"] if rng.random() < 0.3 else [], user,
             )
             chain.submit_transaction(tx)
-        chain.clock = height
-        chain.mine_block(validators[height % keys])
+        chain.mine_block(validators[height % keys], timestamp=height)
     return chain, validators
 
 
