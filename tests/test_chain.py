@@ -118,6 +118,19 @@ def test_second_block_prev_hash_recomputed_independently():
     assert second.prev_hash == hashlib.sha256(header).digest()
 
 
+def test_a_block_keeps_the_timestamp_its_caller_gives():
+    chain, validators, user = fresh_chain()
+    first = chain.mine_block(validators[0])
+    chain.submit_transaction(some_tx(user))
+    second = chain.mine_block(validators[1], timestamp=7)
+    assert (first.timestamp, second.timestamp) == (0, 7)
+    assert not hasattr(chain, "clock")
+    assert validate_chain(chain) is None
+    forged = replace(second, timestamp=8)  # the timestamp is in the signed header
+    chain.blocks[1] = replace(forged, validator_signature=second.validator_signature)
+    assert validate_chain(chain) == ChainFault(1, "validator signature invalid")
+
+
 def test_empty_block_uses_empty_marker():
     chain, validators, _user = fresh_chain()
     block = chain.mine_block(validators[0])

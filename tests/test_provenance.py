@@ -176,6 +176,19 @@ def test_store_tamper_changes_only_the_store():
     assert tx.body == b"orig"  # the original object is untouched
 
 
+def test_store_tamper_flips_the_first_byte_of_the_body():
+    store = OffchainCaseStore("A")
+    tx = chain.make_transaction(
+        chain.PayloadKind.DATA_ACCESS_LOG, b"orig", "A", [], crypto.KeyPair.derive("u")
+    )
+    store.append("C-1", 0, tx)
+    tampered = store.tamper("C-1", 0, 0)
+    assert tampered.body == bytes([ord("o") ^ 0xFF]) + b"rig"
+    assert store.transactions("C-1", 0) == [tampered]
+    with pytest.raises(TypeError):  # no other edit can be asked for
+        store.tamper("C-1", 0, 0, lambda body: body)
+
+
 def test_store_tamper_refuses_a_negative_index(scenario_dir):
     store = copy.deepcopy(_finished_tamper_world().stores["B"])
     before = store.transactions("C-1", 2)

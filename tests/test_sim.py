@@ -21,6 +21,7 @@ from forensicross.payloads import (
     CaseCreatePayload,
     DataAccessLogPayload,
     QueryNodeAssignPayload,
+    StageProposalPayload,
     decode_payload,
     encode_payload,
     payload_transaction,
@@ -96,6 +97,32 @@ def test_conservation_totals_are_pinned(scenario_dir, name):
         "envelopes_sent": sent, "envelopes_delivered": sent, "entries_unresolved": 0,
     }
     assert world.envelopes_sent == sent
+
+
+def test_world_reads_its_envelope_totals_from_the_event_log(scenario_dir):
+    world = run_scenario(load_scenario(scenario_dir / "bridge_small.yaml"))
+    with pytest.raises(AttributeError):  # a count of records, never set
+        world.envelopes_sent = 0
+    world.events.append({"tick": 99, "event": "envelope_received"})
+    assert world.conservation()["envelopes_delivered"] == ENVELOPES_SENT["bridge_small"] + 1
+    for copy in ("envelopes_delivered", "_mine_scheduled", "_active_rule", "_pk_to_key"):
+        assert not hasattr(world, copy)
+
+
+@pytest.mark.parametrize("design", [Design.MESH, Design.BRIDGE], ids=lambda d: d.value)
+def test_a_transaction_submitted_while_its_chain_mines_is_mined(design):
+    # A applies its own open proposal when the block holding it is mined, and
+    # submits its vote on A in that same mining phase
+    world = run_scenario(make_comparison_scenario(2, design))
+    creator = world.users["creator"][1]
+    proposal = StageProposalPayload("C-1", 1, 1)
+    world.inject_transaction(payload_transaction(proposal, "A", creator, ("B",)))
+    world.run()
+    assert world.chains["A"].pending_pool == []
+    mined = [e["tick"] for e in world.events if e["event"] == "block_mined" and e["chain"] == "A"]
+    votes = [e for e in world.events if e["event"] == "stage_vote_cast" and e["chain"] == "A"]
+    assert len(votes) == 1
+    assert mined.count(votes[0]["tick"]) == 2  # the proposal's block, then the vote's
 
 
 def test_different_seed_changes_event_log(scenario_dir):
