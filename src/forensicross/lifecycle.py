@@ -104,7 +104,13 @@ def check_access(policy: AccessPolicy, role: str, stage: int, action: Action) ->
 
 @dataclass
 class LocalCase:
-    """One chain's replica of a shared case's control state."""
+    """One chain's replica of a shared case's control state.
+
+    `rounds` maps a stage to the last proposal round the bridge sent this
+    chain for it: opened, advanced or blocked. A proposal from this chain
+    takes the next round, so a refused proposal uses no round number, and
+    any participant can re-propose a blocked stage.
+    """
 
     case_number: str
     source_chain: str
@@ -112,7 +118,7 @@ class LocalCase:
     creator_public_key: bytes
     stage: int = 0
     policy: AccessPolicy | None = None
-    proposal_attempts: dict[int, int] = field(default_factory=dict)
+    rounds: dict[int, int] = field(default_factory=dict)
 
     @property
     def participants(self) -> tuple[str, ...]:

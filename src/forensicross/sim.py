@@ -257,7 +257,8 @@ class World:
         key = self._registered_user(a)
         case = self.org[a.chain].require_case(a.case)
         payload = AccessControlPayload(a.case, policy.canonical_bytes())
-        tx = payload_transaction(payload, a.chain, key, case.destination_chains)
+        others = tuple(c for c in case.participants if c != a.chain)
+        tx = payload_transaction(payload, a.chain, key, others)
         self._submit_local(a.chain, tx, tick)
 
     def _act_assign_query_nodes(self, a: WorkloadAction, tick: int) -> None:
@@ -270,9 +271,8 @@ class World:
     def _act_propose_stage(self, a: WorkloadAction, tick: int) -> None:
         key = self._registered_user(a)
         case = self.org[a.chain].require_case(a.case)
-        attempt = case.proposal_attempts.get(a.stage, 0) + 1
-        case.proposal_attempts[a.stage] = attempt
-        tx = payload_transaction(StageProposalPayload(a.case, a.stage, attempt), a.chain, key)
+        proposal = StageProposalPayload(a.case, a.stage, case.rounds.get(a.stage, 0) + 1)
+        tx = payload_transaction(proposal, a.chain, key)
         self._submit_local(a.chain, tx, tick)
 
     def _act_request_provenance(self, a: WorkloadAction, tick: int) -> None:
@@ -744,6 +744,9 @@ class World:
 
     def _org_stage_proposal(self, chain_id: str, tx: Transaction, payload, tick: int) -> None:
         org = self.org[chain_id]
+        case = org.cases.get(payload.case_number)
+        if case is not None:
+            case.rounds[payload.stage] = payload.round
         if payload.phase == PHASE_OPEN:
             vote, reason = self._vote_script.get(
                 (payload.case_number, payload.stage, payload.round, chain_id),

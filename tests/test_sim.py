@@ -465,6 +465,46 @@ def test_each_action_names_its_first_failing_pre_check(scenario_dir, name):
     assert not any(e["event"] == "tx_submitted" and e["tick"] == 30 for e in world.events)
 
 
+def _edited_run(scenario_dir, name: str, edit) -> World:
+    """Run bundled scenario `name` after `edit` of its workload rows."""
+    data = yaml.safe_load((scenario_dir / f"{name}.yaml").read_text(encoding="utf-8"))
+    edit(data["workload"])
+    return run_scenario(scenario_from_dict(data, name=f"{name}_edited"))
+
+
+def _propose_stage_3_twice(workload):
+    workload.append({"tick": 26, "action": "propose-stage", "chain": "A", "user": "alice",
+                     "case": "C-100", "stage": 3})
+
+
+def _bob_re_proposes_stage_3(workload):
+    next(a for a in workload if a["tick"] == 31).update(chain="B", user="bob")
+
+
+@pytest.mark.parametrize("edit", [_propose_stage_3_twice, _bob_re_proposes_stage_3])
+def test_a_stage_round_is_numbered_from_what_the_bridge_sent(scenario_dir, edit):
+    # lifecycle_full's first stage 3 round is blocked by B; a refused extra
+    # proposal uses no round, and another participant may re-propose
+    world = _edited_run(scenario_dir, "lifecycle_full", edit)
+    case = world.registry.require_case("C-100")
+    assert [r.round for r in case.rounds if r.stage == 3] == [1, 2]
+    assert case.current_stage == 5
+    assert all(org.cases["C-100"].rounds[5] == 1 for org in world.org.values())
+
+
+def _bob_dispatches_the_policy(workload):
+    next(a for a in workload if a["action"] == "dispatch-policy").update(chain="B", user="bob")
+
+
+def test_a_dispatched_policy_goes_to_every_other_participant(scenario_dir):
+    world = _edited_run(scenario_dir, "bridge_small", _bob_dispatches_the_policy)
+    report = next(r for r in world.reports.values() if r.kind == "AccessControl")
+    assert report.destinations == ("A", "C") and report.status == "delivered"
+    stored = [e["chain"] for e in world.events if e["event"] == "policy_stored"]
+    assert sorted(stored) == ["A", "B", BRIDGE_CHAIN_ID, "C"]
+    assert all(org.cases["C-7"].policy is not None for org in world.org.values())
+
+
 def test_payload_tables_cover_every_kind():
     local_only = {PayloadKind.DATA_ACCESS_LOG, PayloadKind.INTERCHAIN_ENVELOPE}
     assert set(World.BRIDGE_HANDLERS) == set(PayloadKind) - local_only
