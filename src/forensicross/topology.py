@@ -67,26 +67,26 @@ def validate_topology(params: TopologyParams, design: Design) -> list[Violation]
                     f"{k - 1} disjoint pair sets of {n_i} exceed the {n} nodes per chain",
                 )
             )
-        return v
-
-    if n_i >= m / 2:
-        v.append(Violation("eq1", f"need n_i < m/2, got n_i={n_i}, m={m}"))
-    if b_i != k * n_i:
-        v.append(
-            Violation("eq3", f"bridge mutual total {b_i} != k*n_i = {k * n_i}")
-        )
-    if k * n_i > m:
-        v.append(
-            Violation("eq3", f"{k} disjoint sets of {n_i} exceed the {m} bridge nodes")
-        )
-    share = b_i / k
-    if not (2 < share <= min(n / 2, m / 2)):
-        v.append(
-            Violation(
-                "eq5",
-                f"per-chain bridge share {share:g} outside (2, min(n/2, m/2)={min(n / 2, m / 2):g}]",
+    else:
+        if n_i >= m / 2:
+            v.append(Violation("eq1", f"need n_i < m/2, got n_i={n_i}, m={m}"))
+        if b_i != k * n_i:
+            v.append(
+                Violation("eq3", f"bridge mutual total {b_i} != k*n_i = {k * n_i}")
             )
-        )
+        if k * n_i > m:
+            v.append(
+                Violation("eq3", f"{k} disjoint sets of {n_i} exceed the {m} bridge nodes")
+            )
+        share = b_i / k
+        if not (2 < share <= min(n / 2, m / 2)):
+            v.append(
+                Violation(
+                    "eq5",
+                    f"per-chain bridge share {share:g} outside (2, min(n/2, m/2)={min(n / 2, m / 2):g}]",
+                )
+            )
+    # a strict majority of an even set can be a tie; both designs need odd sets
     if n_i % 2 == 0:
         v.append(Violation("odd", f"mutual set size {n_i} must be odd"))
     return v

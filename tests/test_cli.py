@@ -182,6 +182,15 @@ def run_edited_tamper_demo(tmp_path, scenario_dir, edit) -> int:
     return run_cli("run", "--scenario", str(bad), "--out", str(tmp_path / "out"))
 
 
+def test_an_even_mesh_mutual_set_is_a_validation_error(tmp_path, scenario_dir, capsys):
+    data = yaml.safe_load((scenario_dir / "mesh_small.yaml").read_text(encoding="utf-8"))
+    data["topology"]["mutual_per_chain"] = 4
+    edited = tmp_path / "even.yaml"
+    edited.write_text(yaml.safe_dump(data), encoding="utf-8")
+    assert run_cli("run", "--scenario", str(edited), "--out", str(tmp_path / "out")) == EXIT_VALIDATION
+    assert "odd: mutual set size 4 must be odd" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("row", sorted(BELOW_MINIMUM))
 def test_a_value_below_its_minimum_is_a_validation_error(tmp_path, scenario_dir, capsys, row):
     edit, field_name = BELOW_MINIMUM[row]

@@ -87,6 +87,11 @@ def test_validate_mesh_feasibility():
     assert "eq3" in rules  # 4 disjoint pair sets of 3 need 12 > 11 nodes
 
 
+def test_validate_flags_an_even_mesh_pair_set():
+    params = TopologyParams(k=3, m=19, n=11, n_i=4, b_i=12)
+    assert [v.rule for v in validate_topology(params, Design.MESH)] == ["odd"]
+
+
 def test_validate_rejects_inconsistent_bridge_total():
     params = TopologyParams(k=3, m=19, n=11, n_i=3, b_i=8)
     rules = {v.rule for v in validate_topology(params, Design.BRIDGE)}
