@@ -442,15 +442,17 @@ class World:
             partial(self._check_timeout, target_chain, origin_id, mset.size),
         )
 
+    def _next_hops(self, tx: Transaction, chain_id: str) -> tuple[str, ...]:
+        """An organization chain of the bridge design sends to the bridge,
+        any other chain to each of the transaction's destinations."""
+        if self.design is Design.BRIDGE and chain_id != BRIDGE_CHAIN_ID:
+            return (BRIDGE_CHAIN_ID,)
+        return tx.destination_chains
+
     def _start_routing(self, tx: Transaction, chain_id: str, tick: int) -> None:
         """Translate `tx`, mined on `chain_id`, towards its next hops, each
-        through the mutual nodes of that link: an organization chain of the
-        bridge design sends to the bridge, any other chain to each of the
-        transaction's destinations."""
-        if self.design is Design.BRIDGE and chain_id != BRIDGE_CHAIN_ID:
-            targets = (BRIDGE_CHAIN_ID,)
-        else:
-            targets = tx.destination_chains
+        through the mutual nodes of that link."""
+        targets = self._next_hops(tx, chain_id)
         if not targets:
             return
         # the bridge's record of a validated origin forwards that origin;
@@ -815,7 +817,17 @@ def run_scenario(scenario: Scenario) -> World:
 
 def route_transaction(tx: Transaction, world: World) -> DeliveryReport:
     """Submit `tx` on its source chain and drive the world until the routing
-    pipeline resolves; returns the delivery report for it."""
+    pipeline resolves; returns the delivery report for it.
+
+    A transaction its source chain keeps to itself has no report, so it is
+    refused before anything is submitted: an access log entry or a recorded
+    envelope (`UnexpectedKind`, see `World._on_block_mined`), or one with no
+    next hop (`EmptyDestinations`)."""
+    kind = tx.payload_kind
+    if kind in (PayloadKind.DATA_ACCESS_LOG, PayloadKind.INTERCHAIN_ENVELOPE):
+        raise UnexpectedKind(f"a {kind.value} transaction stays on its own chain")
+    if not world._next_hops(tx, tx.source_chain):
+        raise EmptyDestinations(f"{tx.source_chain} has no chain to send {kind.value} to")
     accepted = world.inject_transaction(tx)
     world.run()
     return world.reports[accepted.tx_id]

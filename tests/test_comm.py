@@ -23,9 +23,14 @@ from forensicross.comm import (
     verify_translations,
 )
 from forensicross.crypto import KeyPair, sign
-from forensicross.errors import ForensicrossError, InvalidDestinations
+from forensicross.errors import (
+    EmptyDestinations,
+    ForensicrossError,
+    InvalidDestinations,
+    UnexpectedKind,
+)
 from forensicross.scenario import FAULT_COMPROMISE, RULE_DROP, RULE_EQUIVOCATE, FaultSpec
-from forensicross.payloads import CaseCreatePayload, payload_transaction
+from forensicross.payloads import CaseCreatePayload, DataAccessLogPayload, payload_transaction
 from forensicross.sim import (
     BRIDGE_CHAIN_ID,
     World,
@@ -293,6 +298,43 @@ def test_a_built_scenario_naming_its_own_chain_is_an_action_error(design):
     world = run_scenario(replace(scenario, workload=(row,)))
     errors = [e["error"] for e in world.events if e["event"] == "action_error"]
     assert errors == ["InvalidDestinations"] and not world.reports
+
+
+def _access_log_tx(world: World) -> Transaction:
+    user_key = world.users["creator"][1]
+    payload = DataAccessLogPayload(
+        "C-9", user_key.public_key, "investigator", "read", 0, "Denied", bytes(32)
+    )
+    return payload_transaction(payload, "A", user_key, ("B",))
+
+
+def _envelope_tx(world: World) -> Transaction:
+    body = _case_tx(world).canonical_bytes()
+    return make_transaction(PayloadKind.INTERCHAIN_ENVELOPE, body, "A", ("B",), world.users["creator"][1])
+
+
+def _undirected_case_tx(world: World) -> Transaction:
+    return payload_transaction(CaseCreatePayload("C-9"), "A", world.users["creator"][1], ())
+
+
+@pytest.mark.parametrize("design,build,error", [
+    pytest.param(Design.MESH, _access_log_tx, UnexpectedKind, id="mesh-access-log"),
+    pytest.param(Design.BRIDGE, _access_log_tx, UnexpectedKind, id="bridge-access-log"),
+    pytest.param(Design.MESH, _envelope_tx, UnexpectedKind, id="mesh-envelope"),
+    pytest.param(Design.BRIDGE, _envelope_tx, UnexpectedKind, id="bridge-envelope"),
+    pytest.param(Design.MESH, _undirected_case_tx, EmptyDestinations, id="mesh-no-destination"),
+])
+def test_route_refuses_a_transaction_its_source_keeps_to_itself(design, build, error):
+    world = _world(design=design)
+    with pytest.raises(error):
+        route_transaction(build(world), world)
+    assert not world.chains["A"].pending_pool and not world.events
+
+
+def test_a_bridge_route_with_no_destination_is_refused_by_the_registry():
+    # the bridge is every organization chain's next hop
+    world = _world(design=Design.BRIDGE)
+    assert route_transaction(_undirected_case_tx(world), world).status == "registry-rejected"
 
 
 def test_route_refuses_a_source_that_is_not_a_chain_of_the_world():

@@ -31,6 +31,7 @@ from forensicross.scenario import (
     FAULT_FIELDS,
     FAULT_TAMPER,
     GRANT_FIELDS,
+    MAXIMUMS,
     MINIMUMS,
     POLICY_FIELDS,
     ROW_FIELDS,
@@ -214,15 +215,38 @@ def test_workload_referencing_unknown_chain_is_rejected():
 
 def test_an_absurd_chain_count_is_refused_without_building_its_names(scenario_dir):
     data = yaml.safe_load((scenario_dir / "bridge_small.yaml").read_text(encoding="utf-8"))
-    data["topology"]["chains"] = 1_000_000  # its chains are C1..C1000000, so A is unknown
+    data["topology"]["chains"] = 1_000_000
     tracemalloc.start()
     try:
-        with pytest.raises(ScenarioError, match=r"users\[0\]: unknown chain 'A'"):
+        with pytest.raises(ScenarioError, match=r"topology\.chains must be <= 64, got 1000000"):
             scenario_from_dict(data, "x")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize("name", ["nodes_per_chain", "bridge_nodes"])
+def test_an_absurd_node_count_is_refused_at_load(scenario_dir, name):
+    data = yaml.safe_load((scenario_dir / "bridge_small.yaml").read_text(encoding="utf-8"))
+    data["topology"][name] = 10**9  # World would derive a key per node
+    tracemalloc.start()
+    try:
+        with pytest.raises(ScenarioError, match=rf"topology\.{name} must be <= {MAXIMUMS[name]}"):
+            scenario_from_dict(data, "x")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+def test_the_topology_maximums_admit_the_largest_comparison():
+    # compare_designs(2, 20) builds its scenarios in code; a file may ask for as much
+    for design in (Design.MESH, Design.BRIDGE):
+        scenario = make_comparison_scenario(20, design, "broadcast")
+        sizes = {"chains": scenario.k, "nodes_per_chain": scenario.nodes_per_chain,
+                 "bridge_nodes": scenario.bridge_nodes}
+        assert all(sizes[name] * 3 <= top for name, top in MAXIMUMS.items())
 
 
 @pytest.mark.parametrize("k", [1, 2, 25, 26, 27, 99, 100, 101])
@@ -529,6 +553,7 @@ def test_scenario_tables_cover_every_row_field():
         assert table.keys() <= ROW_FIELDS[FaultSpec].keys()
     tables = [*ROW_FIELDS.values(), TOPOLOGY_FIELDS, POLICY_FIELDS, GRANT_FIELDS, SCENARIO_FIELDS]
     assert MINIMUMS.keys() <= {key for table in tables for key in table}
+    assert MAXIMUMS.keys() <= TOPOLOGY_FIELDS.keys()
 
 
 # a policy whose one grant names an action no Action member has
