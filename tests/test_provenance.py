@@ -170,21 +170,11 @@ def test_store_tamper_changes_only_the_store():
     )
     store.append("C-1", 0, tx)
     before = store.transactions("C-1", 0)[0].digest()
-    store.tamper("C-1", 0, 0)
+    tampered = store.tamper("C-1", 0, 0)
     after = store.transactions("C-1", 0)[0].digest()
     assert before != after
     assert tx.body == b"orig"  # the original object is untouched
-
-
-def test_store_tamper_flips_the_first_byte_of_the_body():
-    store = OffchainCaseStore("A")
-    tx = chain.make_transaction(
-        chain.PayloadKind.DATA_ACCESS_LOG, b"orig", "A", [], crypto.KeyPair.derive("u")
-    )
-    store.append("C-1", 0, tx)
-    tampered = store.tamper("C-1", 0, 0)
-    assert tampered.body == bytes([ord("o") ^ 0xFF]) + b"rig"
-    assert store.transactions("C-1", 0) == [tampered]
+    assert tampered.body == bytes([ord("o") ^ 0xFF]) + b"rig"  # the first byte flipped
     with pytest.raises(TypeError):  # no other edit can be asked for
         store.tamper("C-1", 0, 0, lambda body: body)
 
