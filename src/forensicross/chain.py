@@ -7,6 +7,7 @@ digests and a signature from a validator in the fixed authority set.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
@@ -208,13 +209,18 @@ class ChainFault:
 
 
 class Chain:
-    """Append-only block store plus pending pool and POA authority set."""
+    """Append-only block store plus pending pool and POA authority set.
 
-    def __init__(self, chain_id: str, authority_set: list[bytes]):
+    `authority_set` is the validators' public keys in schedule order. It is
+    kept as given, not copied, and read only by index, except to name an
+    audit fault: `World` passes a sequence that derives a key when indexed.
+    """
+
+    def __init__(self, chain_id: str, authority_set: Sequence[bytes]):
         if not authority_set:
             raise ValueError("authority set must not be empty")
         self.chain_id = chain_id
-        self.authority_set = list(authority_set)
+        self.authority_set = authority_set
         self.blocks: list[Block] = []
         self.pending_pool: list[Transaction] = []
         self._tx_counter = 0
@@ -283,8 +289,9 @@ class Chain:
 
 def validate_chain(chain: Chain) -> ChainFault | None:
     """None when intact, else the lowest height whose linkage, transaction
-    set (no digest twice), Merkle root, validator (in the authority set and
-    on the round-robin schedule) or validator signature fails.
+    set (no digest twice), Merkle root, validator (the one the round-robin
+    schedule names) or validator signature fails. Only a wrong validator is
+    looked up in the whole authority set, to say whether it is in it at all.
 
     `submit_transaction` never admits a tx_id twice, so a repeated digest
     is tampering. The check closes the duplicate-last ambiguity of
@@ -302,10 +309,10 @@ def validate_chain(chain: Chain) -> ChainFault | None:
             return ChainFault(i, "duplicate transaction")
         if _digest_root(digests) != block.tx_merkle_root:
             return ChainFault(i, "tx merkle root mismatch")
-        if block.validator_public_key not in chain.authority_set:
-            return ChainFault(i, "validator not in authority set")
         if block.validator_public_key != chain.expected_validator(i):
-            return ChainFault(i, "unexpected validator")
+            if block.validator_public_key in chain.authority_set:
+                return ChainFault(i, "unexpected validator")
+            return ChainFault(i, "validator not in authority set")
         digest = block.header_digest()
         try:
             ok = verify(digest, block.validator_signature, block.validator_public_key)

@@ -83,8 +83,9 @@ class KeyPair:
         and the same object is returned for equal labels: every `World` of a
         seed shares its node, contract and user keys, and each key's signing
         key is built once. The cache is unbounded; the distinct keys are the
-        names of the scenarios a process loads (1,813 for
-        `compare_designs(2, 20, ...)`). Each costs about 390 bytes with its
+        contract and user keys of the scenarios a process loads and the keys
+        of the nodes that act in them (139 for `compare_designs(2, 20,
+        "broadcast")`, 31 for `"single"`). Each costs about 390 bytes with its
         cache entry. Once it has signed, libsodium's cached secret key adds
         about 170 bytes, and OpenSSL's parsed key about 420–460. Use
         `from_seed` for a separate, uncached object.

@@ -176,10 +176,11 @@ MINIMUMS = {
                      "bridge_mutual", "stage_count", "link_latency", "pending_timeout",
                      "max_ticks", "block_time"), 1),
 }
-# the greatest value of each size World derives a key per unit of, by field
+# the greatest value of each size World names a node per unit of, by field
 # name: far above compare_designs(2, 20) (20 chains of 58 nodes, a bridge of
-# 121). The largest bridge world, 16,769 keys, builds in about 0.6 s and
-# 31 MB (2 CPUs, Python 3.11)
+# 121). The largest bridge world, 16,896 node names, builds in about 6 ms;
+# routing one broadcast case then derives the keys of 192 of its nodes, and
+# the process peaks at 25 MB (2 CPUs, Python 3.11)
 MAXIMUMS = {"chains": 64, "nodes_per_chain": 256, "bridge_nodes": 512}
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import heapq
 import json
+from collections.abc import Sequence
 from functools import partial
 from pathlib import Path
 
@@ -91,6 +92,22 @@ def flip_last_byte(data: bytes) -> bytes:
     return data[:-1] + bytes([data[-1] ^ 0xFF])
 
 
+class AuthorityKeys(Sequence):
+    """One chain's authority set, as `Chain` reads it: the public keys of
+    `names` in schedule order, each resolved by `key_of` when it is first
+    indexed, so a node that never seals a block derives no key."""
+
+    def __init__(self, names: list[str], key_of):
+        self._names = names
+        self._key_of = key_of
+
+    def __len__(self) -> int:
+        return len(self._names)
+
+    def __getitem__(self, index: int) -> bytes:
+        return self._key_of(self._names[index]).public_key
+
+
 class World:
     """All simulation state for one scenario run."""
 
@@ -146,19 +163,15 @@ class World:
         }
 
     def _build_keys_and_chains(self) -> None:
-        s = self.scenario
-        seed_label = f"scenario:{s.seed}"
+        """Each chain's authority set and each contract's key resolver go
+        through `_node_key`, so `keys` holds only the nodes that have acted."""
+        seed_label = f"scenario:{self.scenario.seed}"
         self.keys: dict[str, KeyPair] = {}
-        for names in self.node_names.values():
-            for name in names:
-                if name not in self.keys:
-                    self.keys[name] = KeyPair.derive(seed_label, ":node:", name)
         self.contract_keys = {
             c: KeyPair.derive(seed_label, ":contract:", c) for c in self.node_names
         }
-        self._pk_to_name = {kp.public_key: name for name, kp in self.keys.items()}
         self.chains = {
-            c: Chain(c, [self.keys[n].public_key for n in names])
+            c: Chain(c, AuthorityKeys(names, self._node_key))
             for c, names in self.node_names.items()
         }
         self.contracts = {
@@ -189,8 +202,18 @@ class World:
         for fault in self.scenario.faults:
             self.schedule(fault.tick, PHASE_ACTION, partial(self._activate_fault, fault))
 
+    def _node_key(self, node: str) -> KeyPair:
+        """`node`'s key, derived and kept in `keys` the first time the node
+        translates, seals a block or has its public key resolved."""
+        key = self.keys.get(node)
+        if key is None:
+            key = self.keys[node] = KeyPair.derive(
+                f"scenario:{self.scenario.seed}", ":node:", node
+            )
+        return key
+
     def _node_pk(self, node: str) -> bytes:
-        return self.keys[node].public_key
+        return self._node_key(node).public_key
 
     # -- event loop -------------------------------------------------------------
 
@@ -309,7 +332,7 @@ class World:
 
     def _activate_fault(self, fault, tick: int) -> None:
         if fault.kind == FAULT_COMPROMISE:
-            if fault.node not in self.keys:
+            if not any(fault.node in names for names in self.node_names.values()):
                 raise ScenarioError(f"fault references unknown node {fault.node!r}")
             self._compromised[fault.node] = fault.rule
             self.emit(tick, "fault_activated", kind=fault.kind, node=fault.node, rule=fault.rule)
@@ -371,8 +394,10 @@ class World:
 
     def _mine(self, chain_id: str, tick: int) -> None:
         chain = self.chains[chain_id]
-        validator = self._pk_to_name[chain.expected_validator(len(chain.blocks))]
-        block = chain.mine_block(self.keys[validator], timestamp=tick)
+        # the authority set is built in `node_names` order (`AuthorityKeys`)
+        names = self.node_names[chain_id]
+        validator = names[len(chain.blocks) % len(names)]
+        block = chain.mine_block(self._node_key(validator), timestamp=tick)
         self.emit(
             tick, "block_mined",
             chain=chain_id, height=block.height, txs=len(block.transactions),
@@ -425,7 +450,7 @@ class World:
                 self.emit(tick, "envelope_dropped", origin_tx=origin_id, node=node)
                 continue
             corrupt = flip_last_byte if rule == RULE_EQUIVOCATE else None
-            envelope = translate(origin, node, mset, self.keys[node], corrupt)
+            envelope = translate(origin, node, mset, self._node_key(node), corrupt)
             sent += 1
             self.emit(
                 tick, "envelope_sent",

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_random_chain, mutate_block_somewhere, transactions
+from conftest import SCENARIOS, build_random_chain, mutate_block_somewhere, transactions
 from forensicross import chain as chain_module
 from forensicross.chain import (
     Block,
@@ -27,7 +27,7 @@ from forensicross.chain import (
 )
 from forensicross.crypto import KeyPair, ZERO_DIGEST, hash_bytes, sign
 from forensicross.scenario import BRIDGE_CHAIN_ID, load_scenario
-from forensicross.sim import run_scenario
+from forensicross.sim import World, run_scenario
 from oracles import recursive_merkle_root, sha
 
 
@@ -302,6 +302,51 @@ def test_validate_reports_a_correctly_signed_off_schedule_block():
         unsigned, validator_signature=sign(unsigned.header_digest(), validators[2])
     )
     assert validate_chain(chain) == ChainFault(1, "unexpected validator")
+
+
+def _seal(chain: Chain, signers: list[KeyPair]) -> None:
+    """Append one linked, empty block per signer, each signed by it
+    whatever the schedule says."""
+    prev = ZERO_DIGEST
+    for height, signer in enumerate(signers):
+        unsigned = Block(height, prev, EMPTY_BLOCK_MARKER, (), signer.public_key, b"", height)
+        block = replace(unsigned, validator_signature=sign(unsigned.header_digest(), signer))
+        chain.blocks.append(block)
+        prev = block.header_digest()
+
+
+def _list_authority() -> tuple[Chain, list[KeyPair]]:
+    chain, validators, _user = fresh_chain()
+    return chain, validators
+
+
+def _world_authority() -> tuple[Chain, list[KeyPair]]:
+    world = World(load_scenario(SCENARIOS / "bridge_small.yaml"))
+    seed_label = f"scenario:{world.scenario.seed}"
+    validators = [KeyPair.derive(seed_label, ":node:", n) for n in world.node_names["A"]]
+    return world.chains["A"], validators
+
+
+@pytest.mark.parametrize("build", [_list_authority, _world_authority], ids=["list", "world"])
+@pytest.mark.parametrize("first, later", [
+    ("outsider", "off-schedule"), ("off-schedule", "outsider"),
+])
+def test_validate_names_each_wrong_validator_at_the_lowest_height(build, first, later):
+    chain, validators = build()
+    n = len(validators)
+    wrong = {
+        # a key outside the authority set, and an authority out of its turn
+        "outsider": lambda height: KeyPair.derive("outsider"),
+        "off-schedule": lambda height: validators[(height + 1) % n],
+    }
+    signers = [validators[h % n] for h in range(n + 2)]
+    signers[2], signers[n + 1] = wrong[first](2), wrong[later](n + 1)
+    _seal(chain, signers)
+    reason = {
+        "outsider": "validator not in authority set",
+        "off-schedule": "unexpected validator",
+    }[first]
+    assert validate_chain(chain) == ChainFault(2, reason)
 
 
 def test_mining_is_append_only():

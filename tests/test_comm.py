@@ -534,7 +534,7 @@ def test_world_contract_fails_closed_on_unknown_translator():
     mset = world.links[("A", BRIDGE_CHAIN_ID)]
     members = mset.members
     for tick, node in enumerate(members[:2], start=1):
-        envelope = translate(hop_origin(tx), node, mset, world.keys[node])
+        envelope = translate(hop_origin(tx), node, mset, world._node_key(node))
         entry, resolved, _dup = contract.receive(envelope, expected=3, tick=tick)
     assert resolved and entry.status is VerifyStatus.VALIDATED
     entry, resolved, dup = contract.receive(_unknown_envelope(tx, "ghost"), expected=3, tick=9)

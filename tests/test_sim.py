@@ -374,6 +374,32 @@ def test_drop_rule_sends_nothing():
     assert report.status == "delivered"  # 2-of-3 still a strict majority
 
 
+def test_a_compromise_fault_names_a_node_of_the_world():
+    scenario = make_comparison_scenario(2, Design.BRIDGE)
+    idle = FaultSpec(tick=0, kind=FAULT_COMPROMISE, node="A.r0", rule=RULE_DROP)
+    world = run_scenario(replace(scenario, faults=(idle,)))
+    assert world.events[0] == {
+        "tick": 0, "event": "fault_activated", "kind": FAULT_COMPROMISE,
+        "node": "A.r0", "rule": RULE_DROP,
+    }
+    with pytest.raises(ScenarioError, match="unknown node 'A.r99'"):
+        run_scenario(replace(scenario, faults=(replace(idle, node="A.r99"),)))
+
+
+def test_only_the_nodes_that_act_derive_a_key():
+    world = World(make_comparison_scenario(20, Design.BRIDGE, "broadcast"))
+    assert world.keys == {}
+    world.run()
+    acting = {e["node"] for e in world.events if e["event"] == "envelope_sent"} | {
+        e["validator"] for e in world.events if e["event"] == "block_mined"
+    }
+    assert set(world.keys) == acting
+    # the audit reads each block's scheduled validator, never the whole set
+    assert all(validate_chain(chain) is None for chain in world.chains.values())
+    assert set(world.keys) == acting
+    assert len(acting) < len({n for names in world.node_names.values() for n in names}) // 5
+
+
 def test_writers_produce_byte_stable_artifacts(tmp_path, scenario_dir):
     scenario = load_scenario(scenario_dir / "bridge_small.yaml")
     contents = []
