@@ -165,8 +165,8 @@ def verify_translations(entry: LedgerEntry) -> VerifyStatus:
 
 class VerificationContract:
     """The communication smart contract's monitor/verify/count state for one
-    receiving chain. `key_resolver` maps a translator node name to its
-    public key so submissions can be attributed before counting."""
+    receiving chain. `key_resolver` maps a mutual node's name to its public
+    key so submissions can be attributed before counting."""
 
     def __init__(self, chain_id: str, key_resolver):
         self.chain_id = chain_id
@@ -181,35 +181,36 @@ class VerificationContract:
         return entry
 
     def receive(
-        self, envelope: TranslatedEnvelope, expected: int, tick: int
+        self, envelope: TranslatedEnvelope, mutual_set: MutualNodeSet, tick: int
     ) -> tuple[LedgerEntry, bool, bool]:
-        """Count one submission; returns (entry, resolved, was_duplicate).
+        """Count one submission that arrived over the link of `mutual_set`;
+        returns (entry, resolved, was_duplicate). The entry expects one
+        envelope from each member of that set.
 
         `resolved` is True only for the submission that validated or
         rejected the entry; the entry's status is the outcome.
 
-        Checks run in this order: duplicate, resolved, signature, count.
-        A node's second submission for the same origin tx is ignored and
-        recorded. A resolved entry (Validated, Rejected or Expired) never
-        changes status again, so its envelopes are not verified. An
-        envelope from an unknown translator node, or with a forged
-        signature, is not counted.
+        Checks run in this order: duplicate, resolved, membership,
+        signature, count. A node's second submission for the same origin tx
+        is ignored and recorded. A resolved entry (Validated, Rejected or
+        Expired) never changes status again, so its envelopes are not
+        verified. An envelope from a node outside `mutual_set`, whatever
+        key signed it, or with a forged signature, is not counted, so
+        translators of other links can never add up to a majority on this
+        one.
         """
-        entry = self.entry_for(envelope.origin_tx_id, expected)
-        if envelope.translator_node in entry.submissions:
-            entry.duplicate_nodes.append(envelope.translator_node)
+        node = envelope.translator_node
+        entry = self.entry_for(envelope.origin_tx_id, mutual_set.size)
+        if node in entry.submissions:
+            entry.duplicate_nodes.append(node)
             return entry, False, True
-        if entry.status is not VerifyStatus.PENDING:
-            return entry, False, False
-        try:
-            public_key = self.key_resolver(envelope.translator_node)
-        except KeyError:
+        if entry.status is not VerifyStatus.PENDING or node not in mutual_set.members:
             return entry, False, False
         if not verify(
-            envelope.attested_bytes(), envelope.translator_signature, public_key
+            envelope.attested_bytes(), envelope.translator_signature, self.key_resolver(node)
         ):
             return entry, False, False
-        entry.submissions[envelope.translator_node] = envelope
+        entry.submissions[node] = envelope
         if verify_translations(entry) is VerifyStatus.PENDING:
             return entry, False, False
         entry.resolved_tick = tick

@@ -459,7 +459,7 @@ class World:
             )
             self.schedule(
                 tick + latency, PHASE_DELIVER,
-                partial(self._deliver_envelope, target_chain, envelope, mset.size),
+                partial(self._deliver_envelope, target_chain, envelope, mset),
             )
         self._messages_to[(target_chain, origin_id)] = sent
         self.schedule(
@@ -494,9 +494,11 @@ class World:
         for target in targets:
             self._send_translations(origin, self.links[(chain_id, target)], target, tick)
 
-    def _deliver_envelope(self, target_chain: str, envelope, expected: int, tick: int) -> None:
+    def _deliver_envelope(
+        self, target_chain: str, envelope, mset: MutualNodeSet, tick: int
+    ) -> None:
         contract = self.contracts[target_chain]
-        entry, resolved, duplicate = contract.receive(envelope, expected, tick)
+        entry, resolved, duplicate = contract.receive(envelope, mset, tick)
         self.emit(
             tick, "envelope_received",
             chain=target_chain, origin_tx=envelope.origin_tx_id,

@@ -137,9 +137,9 @@ def test_duplicate_submission_is_ignored_and_recorded():
     contract = VerificationContract("BRIDGE", lambda node: KEYS[node].public_key)
     tx = origin_tx()
     first = translate(hop_origin(tx), "n0", MSET, KEYS["n0"])
-    entry, resolved, dup = contract.receive(first, expected=3, tick=1)
+    entry, resolved, dup = contract.receive(first, MSET, tick=1)
     assert (resolved, dup) == (False, False) and entry.status is VerifyStatus.PENDING
-    entry2, resolved2, dup2 = contract.receive(first, expected=3, tick=2)
+    entry2, resolved2, dup2 = contract.receive(first, MSET, tick=2)
     assert (resolved2, dup2) == (False, True) and entry2 is entry
     assert entry.status is VerifyStatus.PENDING
     assert entry.duplicate_nodes == ["n0"]
@@ -151,7 +151,7 @@ def test_forged_translator_signature_is_not_counted():
     tx = origin_tx()
     envelope = translate(hop_origin(tx), "n0", MSET, KEYS["n0"])
     forged = replace(envelope, canonical_body=envelope.canonical_body + b"!")
-    entry, _resolved, dup = contract.receive(forged, expected=3, tick=1)
+    entry, _resolved, dup = contract.receive(forged, MSET, tick=1)
     assert not dup and len(entry.submissions) == 0
 
 
@@ -161,10 +161,10 @@ def test_rejected_entry_stays_rejected():
     for i, node in enumerate(MSET.members):
         body_tweak = (lambda b, i=i: b + bytes([i]))  # three divergent bodies
         envelope = translate(hop_origin(tx), node, MSET, KEYS[node], corrupt=body_tweak)
-        entry, resolved, _ = contract.receive(envelope, expected=3, tick=i)
+        entry, resolved, _ = contract.receive(envelope, MSET, tick=i)
     assert resolved and entry.status is VerifyStatus.REJECTED
     late = translate(hop_origin(tx), "n0", MSET, KEYS["n0"])
-    entry, resolved, dup = contract.receive(late, expected=3, tick=9)
+    entry, resolved, dup = contract.receive(late, MSET, tick=9)
     assert dup and not resolved  # n0 already counted; outcome unchanged
     assert entry.status is VerifyStatus.REJECTED
 
@@ -443,7 +443,7 @@ def _validated_contract() -> tuple[VerificationContract, Transaction]:
     tx = origin_tx()
     for tick, node in enumerate(("n0", "n1")):
         envelope = translate(hop_origin(tx), node, MSET, KEYS[node])
-        entry, resolved, _dup = contract.receive(envelope, expected=3, tick=tick)
+        entry, resolved, _dup = contract.receive(envelope, MSET, tick=tick)
     assert resolved and entry.status is VerifyStatus.VALIDATED
     return contract, tx
 
@@ -475,7 +475,7 @@ def test_receive_on_resolved_entry_never_verifies(monkeypatch):
     late = translate(hop_origin(tx), "n2", MSET, KEYS["n2"])
     forged = replace(late, canonical_body=late.canonical_body + b"!")
     for envelope in (late, forged):
-        entry, resolved, dup = contract.receive(envelope, expected=3, tick=5)
+        entry, resolved, dup = contract.receive(envelope, MSET, tick=5)
         assert (resolved, dup) == (False, False)
         assert entry.status is VerifyStatus.VALIDATED
         assert sorted(entry.submissions) == ["n0", "n1"]
@@ -486,10 +486,10 @@ def test_late_envelope_on_expired_entry_is_not_verified_or_counted(monkeypatch):
     contract = VerificationContract("BRIDGE", lambda node: KEYS[node].public_key)
     tx = origin_tx()
     origin = hop_origin(tx)
-    entry, _resolved, _dup = contract.receive(translate(origin, "n0", MSET, KEYS["n0"]), 3, tick=0)
+    entry, _resolved, _dup = contract.receive(translate(origin, "n0", MSET, KEYS["n0"]), MSET, tick=0)
     entry.status, entry.resolved_tick = VerifyStatus.EXPIRED, 5  # as World._check_timeout does
     calls = _count_verify_calls(monkeypatch)
-    entry, resolved, dup = contract.receive(translate(origin, "n1", MSET, KEYS["n1"]), 3, tick=6)
+    entry, resolved, dup = contract.receive(translate(origin, "n1", MSET, KEYS["n1"]), MSET, tick=6)
     assert (resolved, dup) == (False, False)
     assert entry.status is VerifyStatus.EXPIRED and entry.resolved_tick == 5
     assert list(entry.submissions) == ["n0"]
@@ -499,11 +499,11 @@ def test_late_envelope_on_expired_entry_is_not_verified_or_counted(monkeypatch):
 def test_forged_envelope_on_pending_entry_is_verified_and_not_counted(monkeypatch):
     contract = VerificationContract("BRIDGE", lambda node: KEYS[node].public_key)
     tx = origin_tx()
-    contract.receive(translate(hop_origin(tx), "n0", MSET, KEYS["n0"]), expected=3, tick=0)
+    contract.receive(translate(hop_origin(tx), "n0", MSET, KEYS["n0"]), MSET, tick=0)
     calls = _count_verify_calls(monkeypatch)
     honest = translate(hop_origin(tx), "n1", MSET, KEYS["n1"])
     forged = replace(honest, translator_signature=sign(honest.attested_bytes(), KEYS["n2"]))
-    entry, resolved, dup = contract.receive(forged, expected=3, tick=1)
+    entry, resolved, dup = contract.receive(forged, MSET, tick=1)
     assert calls[0] == 1
     assert (resolved, dup) == (False, False) and entry.status is VerifyStatus.PENDING
     assert list(entry.submissions) == ["n0"]
@@ -512,15 +512,15 @@ def test_forged_envelope_on_pending_entry_is_verified_and_not_counted(monkeypatc
 def test_unknown_translator_is_not_counted_on_pending_entry():
     contract = VerificationContract("BRIDGE", lambda node: KEYS[node].public_key)
     tx = origin_tx()
-    contract.receive(translate(hop_origin(tx), "n0", MSET, KEYS["n0"]), expected=3, tick=0)
-    entry, resolved, dup = contract.receive(_unknown_envelope(tx), expected=3, tick=1)
+    contract.receive(translate(hop_origin(tx), "n0", MSET, KEYS["n0"]), MSET, tick=0)
+    entry, resolved, dup = contract.receive(_unknown_envelope(tx), MSET, tick=1)
     assert (resolved, dup) == (False, False) and entry.status is VerifyStatus.PENDING
     assert list(entry.submissions) == ["n0"]
 
 
 def test_unknown_translator_is_not_counted_on_resolved_entry():
     contract, tx = _validated_contract()
-    entry, resolved, dup = contract.receive(_unknown_envelope(tx), expected=3, tick=5)
+    entry, resolved, dup = contract.receive(_unknown_envelope(tx), MSET, tick=5)
     assert (resolved, dup) == (False, False) and entry.status is VerifyStatus.VALIDATED
     assert sorted(entry.submissions) == ["n0", "n1"]
 
@@ -529,17 +529,42 @@ def test_world_contract_fails_closed_on_unknown_translator():
     world = _world()
     contract = world.contracts[BRIDGE_CHAIN_ID]
     tx = origin_tx()
-    entry, resolved, dup = contract.receive(_unknown_envelope(tx), expected=3, tick=0)
-    assert (resolved, dup) == (False, False) and entry.status is VerifyStatus.PENDING
     mset = world.links[("A", BRIDGE_CHAIN_ID)]
+    entry, resolved, dup = contract.receive(_unknown_envelope(tx), mset, tick=0)
+    assert (resolved, dup) == (False, False) and entry.status is VerifyStatus.PENDING
     members = mset.members
     for tick, node in enumerate(members[:2], start=1):
         envelope = translate(hop_origin(tx), node, mset, world._node_key(node))
-        entry, resolved, _dup = contract.receive(envelope, expected=3, tick=tick)
+        entry, resolved, _dup = contract.receive(envelope, mset, tick=tick)
     assert resolved and entry.status is VerifyStatus.VALIDATED
-    entry, resolved, dup = contract.receive(_unknown_envelope(tx, "ghost"), expected=3, tick=9)
+    entry, resolved, dup = contract.receive(_unknown_envelope(tx, "ghost"), mset, tick=9)
     assert (resolved, dup) == (False, False) and entry.status is VerifyStatus.VALIDATED
     assert sorted(entry.submissions) == sorted(members[:2])
+
+
+@pytest.mark.parametrize("design, target, their_link, outsiders", [
+    (Design.MESH, "B", ("A", "C"), ("A~C.m0", "A~C.m1")),
+    (Design.BRIDGE, BRIDGE_CHAIN_ID, ("C", BRIDGE_CHAIN_ID), ("C.m0", "C.m1")),
+], ids=["mesh", "bridge"])
+def test_translators_of_another_link_never_make_a_majority(design, target, their_link, outsiders):
+    # two compromised nodes of another link, a minority there, sign a
+    # corrupt body of an origin from A under a fresh ledger key
+    world = World(make_comparison_scenario(3, design))
+    contract = world.contracts[target]
+    origin = hop_origin(replace(_case_tx(world), tx_id="A:99"))
+    corrupt = replace(origin, body=flip_last_byte(origin.body))
+    arrival = world.links[("A", target)]
+    for tick, node in enumerate(outsiders):
+        envelope = translate(corrupt, node, world.links[their_link], world._node_key(node))
+        entry, resolved, dup = contract.receive(envelope, arrival, tick=tick)
+        assert (resolved, dup) == (False, False) and entry.status is VerifyStatus.PENDING
+        assert entry.submissions == {}
+    # the link's own members still decide the entry
+    for tick, node in enumerate(arrival.members[:2], start=len(outsiders)):
+        envelope = translate(origin, node, arrival, world._node_key(node))
+        entry, resolved, _dup = contract.receive(envelope, arrival, tick=tick)
+    assert resolved and entry.status is VerifyStatus.VALIDATED
+    assert entry.winning_body == origin.body
 
 
 # -- generated envelope sequences ---------------------------------------------
@@ -588,7 +613,7 @@ def test_receive_matches_majority_oracle_on_generated_sequences(expected, steps)
         is_duplicate = kind != "unknown" and node in counted
         if outcome is None and kind in ("honest", "corrupted") and not is_duplicate:
             counted[node] = envelope.canonical_body
-        entry, resolved, dup = contract.receive(envelope, expected=expected, tick=tick)
+        entry, resolved, dup = contract.receive(envelope, mset, tick=tick)
         assert dup == is_duplicate
         status = entry.status
         assert status.value == majority_status(expected, list(counted.values()))
