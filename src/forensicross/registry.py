@@ -85,10 +85,6 @@ class CaseContract:
     def participants(self) -> tuple[str, ...]:
         return (self.source_chain, *self.destination_chains)
 
-    @property
-    def closed(self) -> bool:
-        return self.current_stage >= self.stage_count
-
 
 class BridgeRegistry:
     """Case registry replicated on the bridge chain."""
