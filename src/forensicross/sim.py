@@ -165,11 +165,8 @@ class World:
     def _build_keys_and_chains(self) -> None:
         """Each chain's authority set and each contract's key resolver go
         through `_node_key`, so `keys` holds only the nodes that have acted."""
-        seed_label = f"scenario:{self.scenario.seed}"
         self.keys: dict[str, KeyPair] = {}
-        self.contract_keys = {
-            c: KeyPair.derive(seed_label, ":contract:", c) for c in self.node_names
-        }
+        self.contract_keys = {c: self._derive(":contract:", c) for c in self.node_names}
         self.chains = {
             c: Chain(c, AuthorityKeys(names, self._node_key))
             for c, names in self.node_names.items()
@@ -187,7 +184,7 @@ class World:
         self.org = {c: OrgChainState(c) for c in self.chain_ids}
         self.users: dict[str, tuple[UserSpec, KeyPair]] = {}
         for spec in s.users:
-            key = KeyPair.derive(f"scenario:{s.seed}", ":user:", spec.name)
+            key = self._derive(":user:", spec.name)
             self.users[spec.name] = (spec, key)
             self.org[spec.chain].register_user(key, spec.role)
         self._pk_to_user = {key.public_key: spec.name for spec, key in self.users.values()}
@@ -202,14 +199,16 @@ class World:
         for fault in self.scenario.faults:
             self.schedule(fault.tick, PHASE_ACTION, partial(self._activate_fault, fault))
 
+    def _derive(self, role: str, name: str) -> KeyPair:
+        """The key of a node, contract or user of this scenario's seed."""
+        return KeyPair.derive(f"scenario:{self.scenario.seed}", role, name)
+
     def _node_key(self, node: str) -> KeyPair:
         """`node`'s key, derived and kept in `keys` the first time the node
         translates, seals a block or has its public key resolved."""
         key = self.keys.get(node)
         if key is None:
-            key = self.keys[node] = KeyPair.derive(
-                f"scenario:{self.scenario.seed}", ":node:", node
-            )
+            key = self.keys[node] = self._derive(":node:", node)
         return key
 
     def _node_pk(self, node: str) -> bytes:
