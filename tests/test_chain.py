@@ -328,24 +328,18 @@ def _world_authority() -> tuple[Chain, list[KeyPair]]:
 
 
 @pytest.mark.parametrize("build", [_list_authority, _world_authority], ids=["list", "world"])
-@pytest.mark.parametrize("first, later", [
-    ("outsider", "off-schedule"), ("off-schedule", "outsider"),
-])
-def test_validate_names_each_wrong_validator_at_the_lowest_height(build, first, later):
+@pytest.mark.parametrize("outsider_first", [True, False], ids=["outsider", "off-schedule"])
+def test_validate_names_each_wrong_validator_at_the_lowest_height(build, outsider_first):
     chain, validators = build()
     n = len(validators)
-    wrong = {
-        # a key outside the authority set, and an authority out of its turn
-        "outsider": lambda height: KeyPair.derive("outsider"),
-        "off-schedule": lambda height: validators[(height + 1) % n],
-    }
     signers = [validators[h % n] for h in range(n + 2)]
-    signers[2], signers[n + 1] = wrong[first](2), wrong[later](n + 1)
+    # a key outside the authority set, and an authority whose turn is
+    # neither height 2 nor height n + 1
+    outsider, off_schedule = KeyPair.derive("outsider"), validators[0]
+    low, high = (outsider, off_schedule) if outsider_first else (off_schedule, outsider)
+    signers[2], signers[n + 1] = low, high
     _seal(chain, signers)
-    reason = {
-        "outsider": "validator not in authority set",
-        "off-schedule": "unexpected validator",
-    }[first]
+    reason = "validator not in authority set" if outsider_first else "unexpected validator"
     assert validate_chain(chain) == ChainFault(2, reason)
 
 
