@@ -1,4 +1,5 @@
 import hashlib
+import heapq
 import json
 import string
 import tracemalloc
@@ -13,6 +14,7 @@ from forensicross import scenario as scenario_module
 from forensicross.canonical import DecodeError, enc_int, enc_str, enc_str_list
 from forensicross.chain import PayloadKind, make_transaction, validate_chain
 from forensicross.comm import DeliveryReport
+from forensicross.crypto import KeyPair
 from forensicross.errors import InvalidTopology, ScenarioError
 from forensicross.payloads import (
     PAYLOAD_KINDS,
@@ -22,11 +24,13 @@ from forensicross.payloads import (
     DataAccessLogPayload,
     QueryNodeAssignPayload,
     StageProposalPayload,
+    StageVotePayload,
     decode_payload,
     encode_payload,
     payload_transaction,
 )
 from forensicross.scenario import (
+    ACTION_PROPOSE_STAGE,
     FAULT_COMPROMISE,
     FAULT_FIELDS,
     FAULT_TAMPER,
@@ -683,3 +687,38 @@ def test_a_stage_hash_for_a_closed_case_is_a_registry_error(scenario_dir):
     world._deliver_stage_hash("C-7", "A", case.stage_count, b"\x00" * 32, tick=99)
     assert world.events[-1]["event"] == "registry_error"
     assert world.events[-1]["error"] == "StaleStage"
+
+
+def _run_until(world: World, event: str) -> None:
+    """Drain the queue as `World.run` does, until `event` has been emitted."""
+    while not any(e["event"] == event for e in world.events):
+        tick, _phase, _seq, fn = heapq.heappop(world._queue)
+        world.now = tick
+        fn(tick)
+
+
+@pytest.mark.parametrize("path", ["libsodium", "openssl"])
+def test_a_key_no_chain_registered_casts_no_stage_vote(path, request):
+    if path == "openssl":
+        request.getfixturevalue("openssl_only")
+    scenario = make_comparison_scenario(2, Design.BRIDGE)
+    propose = WorkloadAction(
+        tick=30, action=ACTION_PROPOSE_STAGE, chain="A", user="creator", case="C-1", stage=1,
+    )
+    scenario = replace(
+        scenario,
+        workload=scenario.workload + (propose,),
+        votes=(VoteSpec("C-1", 1, chain="B", vote="reject"),),
+    )
+    world = World(scenario)
+    _run_until(world, "stage_proposal_opened")
+    # an approve for B, signed by a key that neither B nor its contract holds
+    mallory = KeyPair.derive("nobody", ":x:", "mallory")
+    forged = payload_transaction(StageVotePayload("C-1", 1, 1, "approve"), "B", mallory)
+    with pytest.raises(ScenarioError):
+        world.inject_transaction(forged)
+    assert world.events[-1]["event"] == "tx_rejected"
+    world.run()
+    outcomes = [e["outcome"] for e in world.events if e["event"] == "stage_outcome"]
+    assert outcomes == ["Blocked"]  # B's own reject decides the round
+    assert not any(e["event"] == "registry_error" for e in world.events)
