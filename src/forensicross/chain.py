@@ -48,6 +48,8 @@ class SubmitError(Exception):
 INVALID_SIGNATURE = "InvalidSignature"
 DUPLICATE_TX_ID = "DuplicateTxId"
 UNKNOWN_PAYLOAD_KIND = "UnknownPayloadKind"
+# refused by `World`, not by `Chain`: a sender its chain does not admit
+UNKNOWN_SENDER = "UnknownSender"
 
 
 class UnauthorizedValidator(Exception):

@@ -18,7 +18,7 @@ from functools import partial
 from pathlib import Path
 
 from .canonical import DecodeError
-from .chain import Chain, PayloadKind, SubmitError, Transaction, make_transaction
+from .chain import UNKNOWN_SENDER, Chain, PayloadKind, SubmitError, Transaction, make_transaction
 from .comm import (
     DeliveryReport,
     Hop,
@@ -378,6 +378,7 @@ class World:
         of its block time."""
         chain = self.chains[chain_id]
         try:
+            self._admit(chain_id, tx.sender_public_key)
             accepted = chain.submit_transaction(tx)
         except SubmitError as exc:
             self.emit(tick, "tx_rejected", chain=chain_id, reason=exc.reason)
@@ -390,6 +391,15 @@ class World:
             bt = self.scenario.block_time(chain_id)
             self.schedule(-(-tick // bt) * bt, PHASE_MINE, partial(self._mine, chain_id))
         return accepted
+
+    def _admit(self, chain_id: str, sender: bytes) -> None:
+        """A chain admits its contract's key and, on an organization chain,
+        the users registered on it; the bridge admits only its contract."""
+        if sender == self.contract_keys[chain_id].public_key:
+            return
+        org = self.org.get(chain_id)
+        if org is None or sender not in org.registered_users:
+            raise SubmitError(UNKNOWN_SENDER, f"{sender.hex()[:16]} on {chain_id}")
 
     def _mine(self, chain_id: str, tick: int) -> None:
         chain = self.chains[chain_id]
