@@ -178,9 +178,11 @@ MINIMUMS = {
 }
 # the greatest value of each size World names a node per unit of, by field
 # name: far above compare_designs(2, 20) (20 chains of 58 nodes, a bridge of
-# 121). The largest bridge world, 16,896 node names, builds in about 6 ms;
-# routing one broadcast case then derives the keys of 192 of its nodes, and
-# the process peaks at 25 MB (2 CPUs, Python 3.11)
+# 121). A World makes a node's name and a link's mutual set only when read, so
+# the largest bridge world (16,896 node names) builds in about 0.3 ms and the
+# largest mesh world (2,016 links) in about 1.4 ms; routing one broadcast case
+# then derives the keys of 192 bridge nodes, and the process peaks at 25 MB
+# (2 CPUs, Python 3.11)
 MAXIMUMS = {"chains": 64, "nodes_per_chain": 256, "bridge_nodes": 512}
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import heapq
 import json
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from functools import partial
 from pathlib import Path
 
@@ -92,12 +92,68 @@ def flip_last_byte(data: bytes) -> bytes:
     return data[:-1] + bytes([data[-1] ^ 0xFF])
 
 
+def mutual_member(label: str, index: int) -> str:
+    """The name of the `index`-th mutual node of the link named `label`."""
+    return f"{label}.m{index}"
+
+
+class NodeNames(Sequence):
+    """One chain's node names in schedule order, each made from its index
+    when read: the `mutual` members of each of its link labels, in link
+    order, then fillers `{chain}.r{j}` up to `size`."""
+
+    def __init__(self, chain: str, labels: list[str], mutual: int, size: int):
+        self._chain = chain
+        self._labels = labels
+        self._mutual = mutual
+        self._size = size
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __getitem__(self, index: int) -> str:
+        if not 0 <= index < self._size:
+            raise IndexError(index)
+        link, member = divmod(index, self._mutual)
+        if link < len(self._labels):
+            return mutual_member(self._labels[link], member)
+        return f"{self._chain}.r{index - len(self._labels) * self._mutual}"
+
+
+class Links(Mapping):
+    """`World`'s link table: each link's `MutualNodeSet` under both of its
+    directions, built the first time the link is read, so a link that never
+    carries a hop builds none."""
+
+    def __init__(self, labels: dict[tuple[str, str], str], mutual: int):
+        self._labels = labels
+        self._mutual = mutual
+        self._sets: dict[str, MutualNodeSet] = {}
+
+    def __len__(self) -> int:
+        return len(self._labels)
+
+    def __iter__(self):
+        return iter(self._labels)
+
+    def __contains__(self, pair) -> bool:
+        return pair in self._labels
+
+    def __getitem__(self, pair: tuple[str, str]) -> MutualNodeSet:
+        label = self._labels[pair]
+        mset = self._sets.get(label)
+        if mset is None:
+            members = tuple(mutual_member(label, i) for i in range(self._mutual))
+            mset = self._sets[label] = MutualNodeSet(label, members)
+        return mset
+
+
 class AuthorityKeys(Sequence):
     """One chain's authority set, as `Chain` reads it: the public keys of
     `names` in schedule order, each resolved by `key_of` when it is first
     indexed, so a node that never seals a block derives no key."""
 
-    def __init__(self, names: list[str], key_of):
+    def __init__(self, names: Sequence[str], key_of):
         self._names = names
         self._key_of = key_of
 
@@ -138,10 +194,12 @@ class World:
     # -- construction ---------------------------------------------------------
 
     def _build_topology(self) -> None:
-        """Give each link its mutual node set, under both of its directions
-        in `links`: an organization chain with the bridge, or a pair of
-        chains in the mesh. A chain's nodes are the mutual nodes of its
-        links, in link order, then fillers up to its size."""
+        """Keep each link's label under both of its directions, and each
+        chain's link labels in link order: a link is an organization chain
+        with the bridge, or a pair of chains in the mesh. A chain's nodes
+        are the mutual nodes of its links, in link order, then fillers up to
+        its size; `NodeNames` and `Links` make a name or a mutual set from
+        these labels only when it is read."""
         s = self.scenario
         self.chain_ids = ids = s.chain_ids
         if self.design is Design.BRIDGE:
@@ -150,17 +208,15 @@ class World:
         else:
             links = [(a, b, f"{a}~{b}") for i, a in enumerate(ids) for b in ids[i + 1:]]
             sizes = dict.fromkeys(ids, s.nodes_per_chain)
-        self.links: dict[tuple[str, str], MutualNodeSet] = {}
-        members: dict[str, list[str]] = {c: [] for c in sizes}
+        pairs: dict[tuple[str, str], str] = {}
+        labels: dict[str, list[str]] = {c: [] for c in sizes}
         for a, b, label in links:
-            mset = MutualNodeSet(label, tuple(f"{label}.m{i}" for i in range(s.mutual_per_chain)))
-            self.links[(a, b)] = self.links[(b, a)] = mset
-            members[a].extend(mset.members)
-            members[b].extend(mset.members)
-        self.node_names: dict[str, list[str]] = {
-            c: names + [f"{c}.r{i}" for i in range(sizes[c] - len(names))]
-            for c, names in members.items()
-        }
+            pairs[(a, b)] = pairs[(b, a)] = label
+            labels[a].append(label)
+            labels[b].append(label)
+        n_i = s.mutual_per_chain
+        self.links = Links(pairs, n_i)
+        self.node_names = {c: NodeNames(c, labels[c], n_i, size) for c, size in sizes.items()}
 
     def _build_keys_and_chains(self) -> None:
         """Each chain's authority set and each contract's key resolver go
@@ -971,7 +1027,8 @@ def compare_designs(k_min: int, k_max: int, pattern: str = "single") -> list[dic
             ]
             durations = [r.duration for r in case_reports if r.duration is not None]
             name = design.value
-            row[f"{name}_mutual"] = sum(s.size for s in set(world.links.values()))
+            # `links` holds each link under both of its directions
+            row[f"{name}_mutual"] = len(world.links) // 2 * world.scenario.mutual_per_chain
             row[f"{name}_duration"] = (
                 sum(durations) / len(durations) if durations else None
             )

@@ -63,3 +63,28 @@ def min_bridge_nodes_search(k: int, set_size: int = 3) -> int:
         if fits and below_half and share_ok:
             return m
         m += 1
+
+
+def eager_topology(
+    design: str, chains: list[str], nodes_per_chain: int, bridge_nodes: int, n_i: int
+) -> tuple[dict[str, list[str]], dict[tuple[str, str], tuple[str, tuple[str, ...]]]]:
+    """Every chain's node names and every link's (label, members), all built
+    up front: a bridge link is `c` with "BRIDGE", a mesh link is each pair
+    `a~b` in chain order; a chain's nodes are the members of its links in
+    link order, then `c.r0`, `c.r1`, ... up to the chain's size."""
+    if design == "bridge":
+        edges = [(c, "BRIDGE", c) for c in chains]
+        sizes = {**{c: nodes_per_chain for c in chains}, "BRIDGE": bridge_nodes}
+    else:
+        edges = [(a, b, a + "~" + b) for a, b in combinations(chains, 2)]
+        sizes = {c: nodes_per_chain for c in chains}
+    names: dict[str, list[str]] = {c: [] for c in sizes}
+    links = {}
+    for a, b, label in edges:
+        members = tuple("%s.m%d" % (label, i) for i in range(n_i))
+        links[(a, b)] = links[(b, a)] = (label, members)
+        names[a].extend(members)
+        names[b].extend(members)
+    for c, size in sizes.items():
+        names[c].extend("%s.r%d" % (c, j) for j in range(size - len(names[c])))
+    return names, links

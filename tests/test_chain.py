@@ -77,6 +77,11 @@ def test_submit_rejects_unknown_payload_kind():
     assert err.value.reason == "UnknownPayloadKind"
 
 
+def test_a_chain_needs_an_authority():
+    with pytest.raises(ValueError, match="must not be empty"):
+        Chain("T", [])
+
+
 def test_mine_drains_pool_and_links():
     chain, validators, user = fresh_chain()
     for i in range(3):

@@ -59,6 +59,11 @@ def test_mutual_set_rejects_small_or_even_sizes():
         MutualNodeSet("A", ("w", "x", "y", "z"))
 
 
+def test_mutual_set_rejects_a_repeated_member():
+    with pytest.raises(ValueError, match="distinct"):
+        MutualNodeSet("A", ("x", "y", "x"))
+
+
 def test_two_honest_translators_agree_byte_for_byte():
     tx = origin_tx()
     e0 = translate(hop_origin(tx), "n0", MSET, KEYS["n0"])

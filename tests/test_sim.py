@@ -13,7 +13,7 @@ from conftest import SCENARIOS
 from forensicross import scenario as scenario_module
 from forensicross.canonical import DecodeError, enc_int, enc_str, enc_str_list
 from forensicross.chain import PayloadKind, make_transaction, validate_chain
-from forensicross.comm import DeliveryReport
+from forensicross.comm import DeliveryReport, MutualNodeSet
 from forensicross.crypto import KeyPair
 from forensicross.errors import InvalidTopology, ScenarioError
 from forensicross.payloads import (
@@ -64,6 +64,7 @@ from forensicross.sim import (
     write_registry_snapshot,
 )
 from forensicross.topology import Design, communication_counts
+from oracles import eager_topology
 
 BUNDLED = ["lifecycle_full", "tamper_demo", "bridge_small", "mesh_small", "faulty_nodes"]
 
@@ -193,6 +194,8 @@ def test_compare_designs_table():
         assert row["bridge_duration"] == 2 * row["mesh_duration"]
         if row["k"] >= 3:
             assert row["bridge_mutual"] <= row["mesh_mutual"]
+    [k20] = compare_designs(20, 20, pattern="single")
+    assert (k20["mesh_mutual"], k20["bridge_mutual"]) == (570, 60)
 
 
 def test_invalid_topology_refuses_to_build(scenario_dir):
@@ -433,6 +436,68 @@ def test_valid_topology_instantiates_with_disjoint_mutual_sets():
         pair_sets = [set(s.members) for s in set(mesh.links.values())]
         assert len(pair_sets) == k * (k - 1) // 2
         assert len(set().union(*pair_sets)) == 3 * len(pair_sets)
+
+
+TOPOLOGIES = [
+    *(make_comparison_scenario(k, design) for k in range(2, 9) for design in Design),
+    load_scenario(SCENARIOS / "lifecycle_full.yaml"),
+]
+
+
+@pytest.mark.parametrize("scenario", TOPOLOGIES, ids=lambda s: s.name)
+def test_node_names_and_links_match_the_eager_oracle(scenario):
+    world = World(scenario)
+    names, links = eager_topology(
+        scenario.design.value, list(scenario.chain_ids), scenario.nodes_per_chain,
+        scenario.bridge_nodes, scenario.mutual_per_chain,
+    )
+    assert {c: list(seq) for c, seq in world.node_names.items()} == names
+    for c, expected in names.items():
+        seq = world.node_names[c]
+        assert len(seq) == len(expected) and seq[len(seq) - 1] == expected[-1]
+        with pytest.raises(IndexError):
+            seq[len(expected)]
+    assert {pair: (s.chain_id, s.members) for pair, s in world.links.items()} == links
+
+
+def test_a_link_builds_its_mutual_set_the_first_time_it_carries_a_hop(monkeypatch):
+    built = []
+    check = MutualNodeSet.__post_init__
+
+    def record(mset):
+        check(mset)
+        built.append(mset.chain_id)
+
+    monkeypatch.setattr(MutualNodeSet, "__post_init__", record)
+    world = World(make_comparison_scenario(20, Design.MESH, "broadcast"))
+    assert built == []
+    world.run()
+    # A's case reaches each other chain over its own link, and nothing else
+    # is routed: the other 171 links never build a set
+    assert sorted(built) == sorted(f"A~{c}" for c in chain_names(20)[1:])
+    assert world.links[("B", "A")] is world.links[("A", "B")]
+    assert len(built) == 19
+
+
+@pytest.mark.parametrize("design,pair", [
+    (Design.MESH, ("A", "A")),
+    (Design.MESH, ("A", "Z")),
+    (Design.BRIDGE, ("A", "B")),
+    (Design.BRIDGE, (BRIDGE_CHAIN_ID, BRIDGE_CHAIN_ID)),
+], ids=["mesh-self", "mesh-unknown", "bridge-two-orgs", "bridge-self"])
+def test_a_pair_that_is_no_link_is_a_key_error(design, pair):
+    world = World(make_comparison_scenario(3, design))
+    with pytest.raises(KeyError):
+        world.links[pair]
+    assert pair not in world.links
+
+
+def test_a_run_past_max_ticks_is_refused():
+    # the case is mined at tick 1 and its envelopes arrive at tick 2
+    world = World(replace(make_comparison_scenario(2, Design.BRIDGE), max_ticks=1))
+    with pytest.raises(ScenarioError, match="exceeded max_ticks=1"):
+        world.run()
+    assert world.now == 1
 
 
 def test_delivery_report_hop_records_shape():
