@@ -482,9 +482,11 @@ class World:
                     self._record_access_tx(chain_id, tx, tick)
                     continue
                 # a cross-chain record also updates the source's own replica;
-                # a user's stage proposal has none, so it casts no self-vote
+                # a user's stage proposal has none, so it casts no self-vote.
+                # The record is on chain either way, so it is routed even if
+                # the replica refuses it.
                 if tx.destination_chains and kind in self.ORG_HANDLERS:
-                    self._apply_org(chain_id, tx, tick)
+                    self._apply(chain_id, tx, tick)
             self._start_routing(tx, chain_id, tick)
 
     def _record_access_tx(self, chain_id: str, tx: Transaction, tick: int) -> None:
@@ -609,12 +611,9 @@ class World:
         self._verify_hop(target_chain, origin_id, tick, "rejected")
 
     def _on_validated(self, target_chain: str, entry, tick: int) -> None:
-        """Apply a majority-validated origin at `target_chain`: the bridge
-        runs its registry handler, an organization chain its replica
-        handler; both then record the winning body on their own chain. A
-        body that does not decode, whose kind the receiving side has no
-        handler for, or that the registry or the replica refuses, becomes a
-        `registry_error` event and is not recorded."""
+        """Apply a majority-validated origin at `target_chain` through
+        `_apply`, then record the winning body on that chain. A body that
+        is not a transaction, or that `_apply` refuses, is not recorded."""
         origin_id = entry.origin_tx_id
         honest_body = self._honest_bodies.get(origin_id)
         is_honest = entry.winning_body == honest_body if honest_body is not None else None
@@ -626,25 +625,14 @@ class World:
         if is_honest is False:
             self._verify_hop(target_chain, origin_id, tick, "validated-malicious")
             return
-        forward: tuple[str, ...] = ()
-        op = PayloadKind.INTERCHAIN_ENVELOPE.value  # until the origin decodes
         try:
             origin = Transaction.from_canonical(entry.winning_body)
-            kind = origin.payload_kind
-            op = kind.value
-            if target_chain == BRIDGE_CHAIN_ID:
-                payload = decode_payload(kind, origin.body)
-                handler = self.BRIDGE_HANDLERS.get(kind)
-                if handler is None:
-                    raise UnexpectedKind(f"the bridge does not handle {op}")
-                forward = handler(self, origin, payload, tick)
-            else:
-                self._apply_org(target_chain, origin, tick)
-        except (ForensicrossError, DecodeError) as exc:
-            self.emit(
-                tick, "registry_error",
-                op=op, error=type(exc).__name__, detail=str(exc),
-            )
+        except DecodeError as exc:
+            self._registry_error(tick, PayloadKind.INTERCHAIN_ENVELOPE.value, exc)
+            forward = None
+        else:
+            forward = self._apply(target_chain, origin, tick)
+        if forward is None:
             self._verify_hop(target_chain, origin_id, tick, "registry-rejected")
             return
         self._verify_hop(target_chain, origin_id, tick, "forwarded" if forward else "validated")
@@ -654,9 +642,31 @@ class World:
         )
         self._submit_local(target_chain, record, tick)
 
+    def _apply(self, chain_id: str, tx: Transaction, tick: int) -> tuple[str, ...] | None:
+        """Apply `tx` at `chain_id` with that side's handler: the bridge's
+        registry handler or an organization chain's replica handler. Returns
+        the chains to forward it to, or None after a `registry_error` if the
+        side has no handler for its kind, its body does not decode, or the
+        handler refuses it."""
+        kind = tx.payload_kind
+        handlers = self.BRIDGE_HANDLERS if chain_id == BRIDGE_CHAIN_ID else self.ORG_HANDLERS
+        try:
+            handler = handlers.get(kind)
+            if handler is None:
+                raise UnexpectedKind(f"chain {chain_id} does not handle {kind.value}")
+            return handler(self, chain_id, tx, decode_payload(kind, tx.body), tick) or ()
+        except (ForensicrossError, DecodeError) as exc:
+            self._registry_error(tick, kind.value, exc)
+            return None
+
+    def _registry_error(self, tick: int, op: str, exc: Exception) -> None:
+        self.emit(tick, "registry_error", op=op, error=type(exc).__name__, detail=str(exc))
+
     # -- bridge-side handlers: registry call, event, chains to forward to ------------------
 
-    def _bridge_case_create(self, origin: Transaction, payload, tick: int) -> tuple[str, ...]:
+    def _bridge_case_create(
+        self, chain_id: str, origin: Transaction, payload, tick: int
+    ) -> tuple[str, ...]:
         self.registry.register_case(
             payload.case_number, origin.source_chain,
             origin.destination_chains, origin.sender_public_key,
@@ -668,7 +678,9 @@ class World:
         )
         return origin.destination_chains
 
-    def _bridge_access_control(self, origin: Transaction, payload, tick: int) -> tuple[str, ...]:
+    def _bridge_access_control(
+        self, chain_id: str, origin: Transaction, payload, tick: int
+    ) -> tuple[str, ...]:
         # from_canonical refuses bytes that are not canonical, so the digest
         # of the carried bytes is policy.digest() without encoding it again
         policy = AccessPolicy.from_canonical(payload.policy_bytes)
@@ -681,7 +693,7 @@ class World:
         return origin.destination_chains
 
     def _bridge_query_node_assign(
-        self, origin: Transaction, payload, tick: int
+        self, chain_id: str, origin: Transaction, payload, tick: int
     ) -> tuple[str, ...]:
         case = self.registry.assign_query_nodes(
             payload.case_number, origin.source_chain, payload.public_keys
@@ -693,7 +705,9 @@ class World:
         )
         return ()
 
-    def _bridge_stage_proposal(self, origin: Transaction, payload, tick: int) -> tuple[str, ...]:
+    def _bridge_stage_proposal(
+        self, chain_id: str, origin: Transaction, payload, tick: int
+    ) -> tuple[str, ...]:
         registry = self.registry
         if payload.phase != PHASE_OPEN:
             raise StaleStage(f"unexpected phase {payload.phase!r} from a chain")
@@ -710,7 +724,9 @@ class World:
         case = registry.require_case(payload.case_number)
         return tuple(c for c in case.participants if c != origin.source_chain)
 
-    def _bridge_stage_vote(self, origin: Transaction, payload, tick: int) -> tuple[str, ...]:
+    def _bridge_stage_vote(
+        self, chain_id: str, origin: Transaction, payload, tick: int
+    ) -> tuple[str, ...]:
         result = self.registry.process_stage_vote(
             payload.case_number, origin.source_chain,
             payload.stage, payload.round, payload.vote, payload.reason,
@@ -750,7 +766,7 @@ class World:
         self._submit_local(BRIDGE_CHAIN_ID, control, tick)
 
     def _bridge_provenance_request(
-        self, origin: Transaction, payload, tick: int
+        self, chain_id: str, origin: Transaction, payload, tick: int
     ) -> tuple[str, ...]:
         requester = self._pk_to_user.get(
             payload.requester_public_key, payload.requester_public_key.hex()[:16]
@@ -790,10 +806,7 @@ class World:
         try:
             record = self.registry.record_stage_hash(case_number, chain_id, stage, tx_hash)
         except ForensicrossError as exc:
-            self.emit(
-                tick, "registry_error",
-                op="record_stage_hash", error=type(exc).__name__, detail=str(exc),
-            )
+            self._registry_error(tick, "record_stage_hash", exc)
             return
         self.emit(
             tick, "stage_hash_recorded",
@@ -802,12 +815,6 @@ class World:
         )
 
     # -- organization-side handlers: update one chain's case replica -----------------------
-
-    def _apply_org(self, chain_id: str, tx: Transaction, tick: int) -> None:
-        handler = self.ORG_HANDLERS.get(tx.payload_kind)
-        if handler is None:
-            raise UnexpectedKind(f"chain {chain_id} does not handle {tx.payload_kind.value}")
-        handler(self, chain_id, tx, decode_payload(tx.payload_kind, tx.body), tick)
 
     def _org_case_create(self, chain_id: str, tx: Transaction, payload, tick: int) -> None:
         self.org[chain_id].apply_case_create(
@@ -822,14 +829,7 @@ class World:
     def _org_access_control(self, chain_id: str, tx: Transaction, payload, tick: int) -> None:
         # as in _bridge_access_control, the carried bytes are canonical
         policy = AccessPolicy.from_canonical(payload.policy_bytes)
-        try:
-            self.org[chain_id].apply_policy(payload.case_number, policy)
-        except UnknownCase:
-            self.emit(
-                tick, "registry_error",
-                op="apply_policy", error="UnknownCase", detail=payload.case_number,
-            )
-            return
+        self.org[chain_id].apply_policy(payload.case_number, policy)
         self.emit(
             tick, "policy_stored",
             chain=chain_id, case=payload.case_number,
@@ -857,10 +857,7 @@ class World:
             vote_tx = payload_transaction(ballot, chain_id, self.contract_keys[chain_id])
             self._submit_local(chain_id, vote_tx, tick)
         elif payload.phase == PHASE_ADVANCED:
-            try:
-                org.apply_stage_advance(payload.case_number, payload.stage)
-            except UnknownCase:
-                pass
+            org.apply_stage_advance(payload.case_number, payload.stage)
             self.emit(
                 tick, "stage_advance_applied",
                 chain=chain_id, case=payload.case_number, stage=payload.stage,

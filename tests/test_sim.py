@@ -17,6 +17,7 @@ from forensicross.comm import DeliveryReport, MutualNodeSet
 from forensicross.crypto import KeyPair
 from forensicross.errors import InvalidTopology, ScenarioError
 from forensicross.payloads import (
+    PHASE_ADVANCED,
     PAYLOAD_KINDS,
     PAYLOAD_TYPES,
     AccessControlPayload,
@@ -754,12 +755,24 @@ def test_a_stage_hash_for_a_closed_case_is_a_registry_error(scenario_dir):
     assert world.events[-1]["error"] == "StaleStage"
 
 
+def _step(world: World) -> None:
+    """Run the next queued callback, as `World.run` does."""
+    tick, _phase, _seq, fn = heapq.heappop(world._queue)
+    world.now = tick
+    fn(tick)
+
+
 def _run_until(world: World, event: str) -> None:
-    """Drain the queue as `World.run` does, until `event` has been emitted."""
+    """Drain the queue until `event` has been emitted."""
     while not any(e["event"] == event for e in world.events):
-        tick, _phase, _seq, fn = heapq.heappop(world._queue)
-        world.now = tick
-        fn(tick)
+        _step(world)
+
+
+def _step_to(world: World, tick: int) -> None:
+    """Drain the queue up to, not including, `tick`, and stand at `tick`."""
+    while world._queue[0][0] < tick:
+        _step(world)
+    world.now = tick
 
 
 @pytest.mark.parametrize("path", ["libsodium", "openssl"])
@@ -787,3 +800,48 @@ def test_a_key_no_chain_registered_casts_no_stage_vote(path, request):
     outcomes = [e["outcome"] for e in world.events if e["event"] == "stage_outcome"]
     assert outcomes == ["Blocked"]  # B's own reject decides the round
     assert not any(e["event"] == "registry_error" for e in world.events)
+
+
+@pytest.mark.parametrize("path", ["libsodium", "openssl"])
+def test_a_record_its_source_replica_refuses_does_not_halt_the_run(scenario_dir, path, request):
+    if path == "openssl":
+        request.getfixturevalue("openssl_only")
+    world = World(load_scenario(scenario_dir / "bridge_small.yaml"))
+    _step_to(world, 3)
+    _spec, alice = world.users["alice"]
+    bad = make_transaction(PayloadKind.CASE_CREATE, b"\x00", "A", ("B",), alice)
+    accepted = world.inject_transaction(bad)
+    world.run()
+    refusals = [(e["op"], e["error"]) for e in world.events if e["event"] == "registry_error"]
+    assert refusals == [("CaseCreate", "DecodeError")] * 2  # A's replica, then the bridge
+    assert world.reports[accepted.tx_id].status == "registry-rejected"
+    assert any(e["event"] == "provenance_extracted" for e in world.events)  # ran to its end
+
+
+def test_a_policy_for_a_case_a_destination_lacks_is_not_delivered(scenario_dir):
+    world = run_scenario(load_scenario(scenario_dir / "mesh_small.yaml"))
+    policy = load_scenario(scenario_dir / "bridge_small.yaml").policy
+    _spec, alice = world.users["alice"]
+    payload = AccessControlPayload("C-404", policy.canonical_bytes())
+    accepted = world.inject_transaction(payload_transaction(payload, "A", alice, ("B",)))
+    recorded = len(world.chains["B"].blocks)
+    world.run()
+    refusals = [e for e in world.events if e["event"] == "registry_error"]
+    assert [(e["op"], e["error"]) for e in refusals] == [("AccessControl", "UnknownCase")] * 2
+    assert world.reports[accepted.tx_id].status == "registry-rejected"
+    assert len(world.chains["B"].blocks) == recorded  # B recorded no envelope
+
+
+def test_a_stage_advance_for_an_unknown_case_is_a_registry_error(scenario_dir):
+    world = World(load_scenario(scenario_dir / "bridge_small.yaml"))
+    advance = StageProposalPayload("C-404", 1, 1, PHASE_ADVANCED)
+    origin = payload_transaction(
+        advance, BRIDGE_CHAIN_ID, world.contract_keys[BRIDGE_CHAIN_ID], ("A", "B")
+    )
+    entry = SimpleNamespace(origin_tx_id="advance", winning_body=origin.canonical_bytes())
+    for chain in ("A", "B"):
+        world._on_validated(chain, entry, tick=3)
+        assert world.events[-1]["event"] == "registry_error"
+        assert world.events[-1]["error"] == "UnknownCase"
+        assert world.chains[chain].pending_pool == []  # nothing recorded
+    assert not any(e["event"] == "stage_advance_applied" for e in world.events)
