@@ -51,6 +51,10 @@ class InvalidDestinations(ForensicrossError):
     organization chain."""
 
 
+class NotChainAuthority(ForensicrossError):
+    """A request only a chain's contract may sign, signed by another key."""
+
+
 class UnexpectedKind(ForensicrossError):
     """A validated origin of a kind its receiving side has no handler for."""
 

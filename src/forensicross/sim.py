@@ -35,6 +35,7 @@ from .errors import (
     ForensicrossError,
     InvalidDestinations,
     InvalidTopology,
+    NotChainAuthority,
     NotQueryNode,
     ScenarioError,
     StaleStage,
@@ -662,6 +663,12 @@ class World:
     def _registry_error(self, tick: int, op: str, exc: Exception) -> None:
         self.emit(tick, "registry_error", op=op, error=type(exc).__name__, detail=str(exc))
 
+    def _require_contract(self, tx: Transaction, chain_id: str) -> None:
+        """Refuse `tx` unless `chain_id`'s contract, the one voice of that chain, signed it."""
+        contract = self.contract_keys.get(chain_id)
+        if contract is None or tx.sender_public_key != contract.public_key:
+            raise NotChainAuthority(f"{tx.payload_kind.value} not signed by {chain_id}'s contract")
+
     # -- bridge-side handlers: registry call, event, chains to forward to ------------------
 
     def _bridge_case_create(
@@ -727,6 +734,7 @@ class World:
     def _bridge_stage_vote(
         self, chain_id: str, origin: Transaction, payload, tick: int
     ) -> tuple[str, ...]:
+        self._require_contract(origin, origin.source_chain)
         result = self.registry.process_stage_vote(
             payload.case_number, origin.source_chain,
             payload.stage, payload.round, payload.vote, payload.reason,
@@ -837,6 +845,8 @@ class World:
         )
 
     def _org_stage_proposal(self, chain_id: str, tx: Transaction, payload, tick: int) -> None:
+        if payload.phase != PHASE_OPEN:
+            self._require_contract(tx, BRIDGE_CHAIN_ID)  # none in the mesh: always refused
         org = self.org[chain_id]
         case = org.cases.get(payload.case_number)
         if case is not None:

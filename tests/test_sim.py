@@ -845,3 +845,31 @@ def test_a_stage_advance_for_an_unknown_case_is_a_registry_error(scenario_dir):
         assert world.events[-1]["error"] == "UnknownCase"
         assert world.chains[chain].pending_pool == []  # nothing recorded
     assert not any(e["event"] == "stage_advance_applied" for e in world.events)
+
+
+@pytest.mark.parametrize("path", ["libsodium", "openssl"])
+def test_a_registered_user_casts_no_vote_in_its_chains_name(scenario_dir, path, request):
+    if path == "openssl":
+        request.getfixturevalue("openssl_only")
+    world = World(load_scenario(scenario_dir / "bridge_small.yaml"))
+    _run_until(world, "stage_proposal_opened")
+    _spec, bob = world.users["bob"]
+    world.inject_transaction(payload_transaction(StageVotePayload("C-7", 1, 1, "reject"), "B", bob))
+    world.run()
+    refusals = [(e["op"], e["error"]) for e in world.events if e["event"] == "registry_error"]
+    assert refusals == [("StageVote", "NotChainAuthority")]
+    votes = [(e["chain"], e["vote"]) for e in world.events if e["event"] == "stage_vote"]
+    assert sorted(votes) == [("B", "approve"), ("C", "approve")]  # each contract's own
+    assert world.registry.require_case("C-7").current_stage == 1
+
+
+def test_a_user_sets_no_mesh_replicas_stage(scenario_dir):
+    world = run_scenario(make_comparison_scenario(2, Design.MESH))
+    _spec, creator = world.users["creator"]
+    advance = StageProposalPayload("C-1", 4, 1, PHASE_ADVANCED)
+    accepted = world.inject_transaction(payload_transaction(advance, "A", creator, ("B",)))
+    world.run()
+    refusals = [(e["op"], e["error"]) for e in world.events if e["event"] == "registry_error"]
+    assert refusals == [("StageProposal", "NotChainAuthority")] * 2  # A's replica, then B
+    assert world.reports[accepted.tx_id].status == "registry-rejected"
+    assert [org.cases["C-1"].stage for org in world.org.values()] == [0, 0]
