@@ -71,19 +71,6 @@ def chain_names(k: int) -> list[str]:
     return [f"C{i + 1}" for i in range(k)]
 
 
-def is_chain_name(name, k: int) -> bool:
-    """Whether `name in chain_names(k)`, without building the k names."""
-    if not isinstance(name, str):
-        return False
-    if k <= 26:
-        return len(name) == 1 and name in string.ascii_uppercase[:k]
-    digits = name[1:]
-    return (
-        name[:1] == "C" and digits.isascii() and digits.isdigit() and digits[0] != "0"
-        and len(digits) <= len(str(k)) and int(digits) <= k
-    )
-
-
 @dataclass(frozen=True)
 class UserSpec:
     name: str
@@ -331,7 +318,7 @@ def scenario_from_dict(data: dict, name: str) -> Scenario:
         raise ScenarioError(f"scenario: {exc}") from exc
     topo = _read_fields(top["topology"], TOPOLOGY_FIELDS, "topology")
     k, n_i = topo["chains"], topo["mutual_per_chain"]
-    known = partial(is_chain_name, k=k)
+    known = set(chain_names(k)).__contains__
 
     block_times = top.get("block_time", {"default": 1})
     bad = [c for c in block_times if c not in ("default", BRIDGE_CHAIN_ID) and not known(c)]

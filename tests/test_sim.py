@@ -1,7 +1,6 @@
 import hashlib
 import heapq
 import json
-import string
 import tracemalloc
 from dataclasses import fields, replace
 from types import SimpleNamespace
@@ -50,7 +49,6 @@ from forensicross.scenario import (
     WORKLOAD_ACTIONS,
     WorkloadAction,
     chain_names,
-    is_chain_name,
     load_scenario,
     scenario_from_dict,
 )
@@ -255,14 +253,6 @@ def test_the_topology_maximums_admit_the_largest_comparison():
         sizes = {"chains": scenario.k, "nodes_per_chain": scenario.nodes_per_chain,
                  "bridge_nodes": scenario.bridge_nodes}
         assert all(sizes[name] * 3 <= top for name, top in MAXIMUMS.items())
-
-
-@pytest.mark.parametrize("k", [1, 2, 25, 26, 27, 99, 100, 101])
-def test_is_chain_name_agrees_with_chain_names(k):
-    names = set(chain_names(k))
-    others = {"", "a", "AA", "C", "C0", "C01", f"C{k + 1}", "C\u0661", "C\u00b2", " C1", "BRIDGE", 1, None}
-    candidates = names | others | set(string.ascii_uppercase) | set(chain_names(200))
-    assert {c for c in candidates if is_chain_name(c, k)} == names
 
 
 def test_unknown_scenario_keys_are_errors():
