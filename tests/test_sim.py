@@ -255,6 +255,16 @@ def test_the_topology_maximums_admit_the_largest_comparison():
         assert all(sizes[name] * 3 <= top for name, top in MAXIMUMS.items())
 
 
+def test_chains_past_the_alphabet_are_named_by_number():
+    data = {"design": "mesh", "topology": {"chains": 27, "nodes_per_chain": 79,
+            "mutual_per_chain": 3}, "users": [{"name": "u", "chain": "C27", "role": "r"}]}
+    assert scenario_from_dict(data, "x").chain_ids == chain_names(27)
+    assert chain_names(27)[::26] == ["C1", "C27"]
+    data["users"][0]["chain"] = "A"
+    with pytest.raises(ScenarioError, match="unknown chain 'A'"):
+        scenario_from_dict(data, "x")
+
+
 def test_unknown_scenario_keys_are_errors():
     data = {"design": "bridge", "topology": {"chains": 2, "nodes_per_chain": 11,
             "mutual_per_chain": 3}, "surprise": 1}
@@ -863,3 +873,42 @@ def test_a_user_sets_no_mesh_replicas_stage(scenario_dir):
     assert refusals == [("StageProposal", "NotChainAuthority")] * 2  # A's replica, then B
     assert world.reports[accepted.tx_id].status == "registry-rejected"
     assert [org.cases["C-1"].stage for org in world.org.values()] == [0, 0]
+
+
+def test_the_bridge_refuses_a_stage_outcome_sent_by_a_chain(scenario_dir):
+    world = run_scenario(load_scenario(scenario_dir / "bridge_small.yaml"))
+    _spec, alice = world.users["alice"]
+    advance = StageProposalPayload("C-7", 2, 1, PHASE_ADVANCED)
+    accepted = world.inject_transaction(payload_transaction(advance, "A", alice))
+    world.run()
+    refusals = [(e["op"], e["error"]) for e in world.events if e["event"] == "registry_error"]
+    assert refusals == [("StageProposal", "StaleStage")]
+    assert world.reports[accepted.tx_id].status == "registry-rejected"
+    assert world.registry.require_case("C-7").current_stage == 1
+
+
+def _alice_uploads_after_the_case_closed(workload):
+    workload.append({"tick": 111, "action": "access", "chain": "A", "user": "alice",
+                     "case": "C-100", "op": "upload", "payload": "late-note"})
+
+
+def test_an_access_after_the_case_closed_is_logged_on_chain_only(scenario_dir):
+    plain = run_scenario(load_scenario(scenario_dir / "lifecycle_full.yaml"))
+    world = _edited_run(scenario_dir, "lifecycle_full", _alice_uploads_after_the_case_closed)
+    late = next(e for e in world.events if e["event"] == "access" and e["tick"] == 111)
+    assert late["stage"] == world.scenario.stage_count
+    logged = {tx.tx_id for block in world.chains["A"].blocks for tx in block.transactions}
+    assert late["tx_id"] in logged
+    stage_lists = {
+        c: (store.stage_lists("C-100", 6), plain.stores[c].stage_lists("C-100", 6))
+        for c, store in world.stores.items()
+    }
+    assert all(edited == before for edited, before in stage_lists.values())
+
+
+def test_conservation_counts_an_entry_still_pending(scenario_dir):
+    world = World(load_scenario(scenario_dir / "bridge_small.yaml"))
+    _run_until(world, "envelope_received")  # one of the hop's three envelopes
+    assert world.conservation() == {
+        "envelopes_sent": 3, "envelopes_delivered": 1, "entries_unresolved": 1,
+    }
