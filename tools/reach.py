@@ -57,9 +57,9 @@ def traced_pytest(args: list[str]) -> tuple[int, dict[Path, set[int]]]:
 
     def trace(frame, event, _arg):
         name = frame.f_code.co_filename
-        ran = by_name.get(name, ...)
-        if ran is ...:
-            ran = by_name[name] = hits.get(Path(name).resolve())
+        if name not in by_name:
+            by_name[name] = hits.get(Path(name).resolve())
+        ran = by_name[name]
         if ran is None:
             return None
         ran.add(frame.f_lineno)
