@@ -16,9 +16,9 @@ from forensicross.comm import DeliveryReport, MutualNodeSet
 from forensicross.crypto import KeyPair
 from forensicross.errors import InvalidTopology, ScenarioError
 from forensicross.payloads import (
-    PHASE_ADVANCED,
     PAYLOAD_KINDS,
     PAYLOAD_TYPES,
+    PHASE_ADVANCED,
     AccessControlPayload,
     CaseCreatePayload,
     DataAccessLogPayload,
@@ -863,7 +863,7 @@ def test_a_registered_user_casts_no_vote_in_its_chains_name(scenario_dir, path, 
     assert world.registry.require_case("C-7").current_stage == 1
 
 
-def test_a_user_sets_no_mesh_replicas_stage(scenario_dir):
+def test_a_user_sets_no_mesh_replicas_stage():
     world = run_scenario(make_comparison_scenario(2, Design.MESH))
     _spec, creator = world.users["creator"]
     advance = StageProposalPayload("C-1", 4, 1, PHASE_ADVANCED)

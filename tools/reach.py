@@ -18,6 +18,8 @@ import sys
 import threading
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "forensicross"
 
@@ -50,8 +52,6 @@ def never_ran(lines: list[int], ran: set[int]) -> list[str]:
 def traced_pytest(args: list[str]) -> tuple[int, dict[Path, set[int]]]:
     """Run pytest with `args` and return its exit code and the lines run in
     each file of the package."""
-    import pytest
-
     hits: dict[Path, set[int]] = {path: set() for path in PACKAGE.glob("*.py")}
     by_name: dict[str, set[int] | None] = {}
 
