@@ -6,6 +6,7 @@ hashes; a codec change that moves them changes every transaction id and
 digest in the simulator. Every decoder may raise only `DecodeError` on bad
 bytes.
 """
+from dataclasses import replace
 from typing import get_type_hints
 
 import pytest
@@ -14,8 +15,9 @@ from hypothesis import strategies as st
 
 from conftest import transactions
 from forensicross.canonical import DecodeError, enc_bytes, enc_int, enc_str, enc_str_list
-from forensicross.chain import PayloadKind, Transaction
-from forensicross.crypto import KeyPair, verify
+from forensicross.chain import EMPTY_BLOCK_MARKER, Chain, PayloadKind, Transaction, make_transaction
+from forensicross.comm import HopOrigin, MutualNodeSet, translate
+from forensicross.crypto import ZERO_DIGEST, KeyPair, hash_bytes, verify
 from forensicross.lifecycle import AccessPolicy, Action
 from forensicross.payloads import (
     PAYLOAD_KINDS,
@@ -103,6 +105,44 @@ def test_payload_canonical_bytes_are_pinned(payload, expected_hex):
 
 def test_pinned_samples_cover_every_payload_kind():
     assert {PAYLOAD_KINDS[type(p)] for p, _ in PINNED} == set(PAYLOAD_CLASSES)
+
+
+def test_signed_record_layouts_match_their_fields_in_documented_order():
+    """The bytes a transaction, a block header and a translator attestation
+    are hashed and signed over, built field by field from the primitives:
+    a codec that reorders, drops or re-types a field fails here, not only
+    in the golden runs' hashes."""
+    key = KeyPair.derive("layout-sender")
+    signed = (
+        enc_str("StageVote") + enc_bytes(b"\x01vote") + enc_str("A") + enc_str_list(["B", "C"])
+    )
+    tx = make_transaction(PayloadKind.STAGE_VOTE, b"\x01vote", "A", ["B", "C"], key)
+    assert tx.signing_bytes() == signed
+    assert verify(signed, tx.signature, key.public_key)
+    tx = replace(tx, tx_id="A:1")
+    assert tx.canonical_bytes() == (
+        enc_str("A:1") + enc_bytes(key.public_key) + signed + enc_bytes(tx.signature)
+    )
+    assert Transaction.from_canonical(tx.canonical_bytes()) == tx
+
+    block = Chain("A", [key.public_key]).mine_block(key, timestamp=17)
+    header = (
+        enc_int(0) + enc_bytes(ZERO_DIGEST) + enc_bytes(EMPTY_BLOCK_MARKER)
+        + enc_int(17) + enc_bytes(key.public_key)
+    )
+    assert block.header_bytes() == header
+    assert block.header_digest() == hash_bytes(header)
+    assert verify(hash_bytes(header), block.validator_signature, key.public_key)
+
+    node = "A~B.m0"
+    origin = HopOrigin("A:1", "A", tx.canonical_bytes(), ("B", "C"))
+    envelope = translate(origin, node, MutualNodeSet("A", (node, "A~B.m1", "A~B.m2")), key)
+    attested = (
+        enc_str("A:1") + enc_str("A") + enc_str_list(["B", "C"])
+        + enc_bytes(tx.canonical_bytes()) + enc_str(node)
+    )
+    assert envelope.attested_bytes() == attested
+    assert verify(attested, envelope.translator_signature, key.public_key)
 
 
 @pytest.mark.parametrize("payload", [p for p, _ in PINNED], ids=lambda v: type(v).__name__)
