@@ -802,19 +802,33 @@ def test_a_key_no_chain_registered_casts_no_stage_vote(path, request):
     assert not any(e["event"] == "registry_error" for e in world.events)
 
 
+UNDECODABLE_RECORDS = {
+    # kind, destinations, refusals, report status (an access log has no report)
+    "case-create": (  # A's replica, then the bridge
+        PayloadKind.CASE_CREATE, ("B",), [("CaseCreate", "DecodeError")] * 2, "registry-rejected"
+    ),
+    "access-log": (PayloadKind.DATA_ACCESS_LOG, (), [("DataAccessLog", "DecodeError")], None),
+}
+
+
+@pytest.mark.parametrize("record", sorted(UNDECODABLE_RECORDS))
 @pytest.mark.parametrize("path", ["libsodium", "openssl"])
-def test_a_record_its_source_replica_refuses_does_not_halt_the_run(scenario_dir, path, request):
+def test_a_record_its_source_replica_refuses_does_not_halt_the_run(
+    scenario_dir, path, record, request
+):
     if path == "openssl":
         request.getfixturevalue("openssl_only")
+    kind, destinations, expected, status = UNDECODABLE_RECORDS[record]
     world = World(load_scenario(scenario_dir / "bridge_small.yaml"))
     _step_to(world, 3)
     _spec, alice = world.users["alice"]
-    bad = make_transaction(PayloadKind.CASE_CREATE, b"\x00", "A", ("B",), alice)
+    bad = make_transaction(kind, b"\x00", "A", destinations, alice)
     accepted = world.inject_transaction(bad)
     world.run()
     refusals = [(e["op"], e["error"]) for e in world.events if e["event"] == "registry_error"]
-    assert refusals == [("CaseCreate", "DecodeError")] * 2  # A's replica, then the bridge
-    assert world.reports[accepted.tx_id].status == "registry-rejected"
+    assert refusals == expected
+    report = world.reports.get(accepted.tx_id)
+    assert (report and report.status) == status
     assert any(e["event"] == "provenance_extracted" for e in world.events)  # ran to its end
 
 
