@@ -491,7 +491,11 @@ class World:
             self._start_routing(tx, chain_id, tick)
 
     def _record_access_tx(self, chain_id: str, tx: Transaction, tick: int) -> None:
-        payload = decode_payload(PayloadKind.DATA_ACCESS_LOG, tx.body)
+        try:
+            payload = decode_payload(PayloadKind.DATA_ACCESS_LOG, tx.body)
+        except DecodeError as exc:  # on chain, but no log entry: refuse, do not halt
+            self._registry_error(tick, PayloadKind.DATA_ACCESS_LOG.value, exc)
+            return
         if payload.stage >= self.scenario.stage_count:
             return  # case already closed; on-chain log only
         self.stores[chain_id].append(payload.case_number, payload.stage, tx)
