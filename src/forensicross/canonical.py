@@ -3,11 +3,18 @@
 Fields are encoded in declaration order with explicit length prefixes, so
 digests are identical across platforms and runs. Integers are unsigned
 64-bit big-endian; byte strings and text carry a 4-byte big-endian length.
+
+Every flat signed record (a transaction, a block header, a translator
+attestation, each typed payload) encodes through one field codec,
+`field_codecs`: a field's annotation picks its encoder and reader, so a
+record's layout is its field list and nothing else. `AccessPolicy` keeps
+its own encoder, because its grants are nested.
 """
 from __future__ import annotations
 
+from dataclasses import fields
 from enum import Enum
-from typing import Iterable, TypeVar
+from typing import Iterable, TypeVar, get_type_hints
 
 E = TypeVar("E", bound=Enum)
 
@@ -84,3 +91,49 @@ class Reader:
     def expect_end(self) -> None:
         if self._pos != len(self._data):
             raise DecodeError("trailing bytes after canonical structure")
+
+
+_CODECS = {
+    str: (enc_str, Reader.read_str),
+    bytes: (enc_bytes, Reader.read_bytes),
+    int: (enc_int, Reader.read_int),
+    tuple[str, ...]: (enc_str_list, Reader.read_str_list),
+    tuple[bytes, ...]: (enc_bytes_list, Reader.read_bytes_list),
+}
+
+
+def _codec(hint) -> tuple:
+    if isinstance(hint, type) and issubclass(hint, Enum):  # its value, as text
+        return (lambda member: enc_str(member.value),
+                lambda r: dec_enum(hint, r.read_str()))
+    return _CODECS[hint]
+
+
+def field_codecs(cls, names: tuple[str, ...] = ()) -> tuple[tuple, ...]:
+    """(field name, encoder, reader) for each field of dataclass `cls`, in
+    declaration order, or for the fields `names` lists, in that order."""
+    hints = get_type_hints(cls)
+    return tuple(
+        (name, *_codec(hints[name])) for name in names or [f.name for f in fields(cls)]
+    )
+
+
+def encode_fields(obj, codecs) -> bytes:
+    """The canonical bytes of `obj`'s fields that `codecs` names."""
+    return b"".join([enc(getattr(obj, name)) for name, enc, _read in codecs])
+
+
+def encode_values(codecs, values: Iterable) -> bytes:
+    """The same bytes from the field values alone, for a record that is
+    signed before it exists."""
+    pairs = zip(codecs, values, strict=True)
+    return b"".join([enc(value) for (_name, enc, _read), value in pairs])
+
+
+def decode_fields(cls, codecs, data: bytes):
+    """The `cls` whose fields `codecs` reads from `data`, which must hold
+    nothing more; DecodeError if it does not parse."""
+    r = Reader(data)
+    obj = cls(**{name: read(r) for name, _enc, read in codecs})
+    r.expect_end()
+    return obj

@@ -13,14 +13,7 @@ from enum import Enum
 from functools import cached_property
 from pathlib import Path
 
-from .canonical import (
-    Reader,
-    dec_enum,
-    enc_bytes,
-    enc_int,
-    enc_str,
-    enc_str_list,
-)
+from .canonical import decode_fields, encode_fields, encode_values, field_codecs
 from .crypto import Digest, KeyPair, ZERO_DIGEST, hash_bytes, merkle_root, sign, verify
 
 EMPTY_BLOCK_MARKER = hash_bytes(b"EMPTY")
@@ -56,17 +49,6 @@ class UnauthorizedValidator(Exception):
     pass
 
 
-def _signing_bytes(
-    kind: PayloadKind, body: bytes, source_chain: str, destinations: tuple[str, ...]
-) -> bytes:
-    return (
-        enc_str(kind.value)
-        + enc_bytes(body)
-        + enc_str(source_chain)
-        + enc_str_list(destinations)
-    )
-
-
 @dataclass(frozen=True)
 class Transaction:
     """Signed record routed between chains.
@@ -84,17 +66,10 @@ class Transaction:
     signature: bytes
 
     def signing_bytes(self) -> bytes:
-        return _signing_bytes(
-            self.payload_kind, self.body, self.source_chain, self.destination_chains
-        )
+        return encode_fields(self, _SIGNED)
 
     def canonical_bytes(self) -> bytes:
-        return (
-            enc_str(self.tx_id)
-            + enc_bytes(self.sender_public_key)
-            + self.signing_bytes()
-            + enc_bytes(self.signature)
-        )
+        return encode_fields(self, _TX)
 
     def digest(self) -> Digest:
         """SHA-256 of `canonical_bytes()`, memoized per object.
@@ -119,16 +94,11 @@ class Transaction:
 
     @classmethod
     def from_canonical(cls, data: bytes) -> "Transaction":
-        r = Reader(data)
-        tx_id = r.read_str()
-        sender = r.read_bytes()
-        kind = dec_enum(PayloadKind, r.read_str())
-        body = r.read_bytes()
-        source = r.read_str()
-        destinations = r.read_str_list()
-        signature = r.read_bytes()
-        r.expect_end()
-        return cls(tx_id, sender, kind, body, source, destinations, signature)
+        return decode_fields(cls, _TX, data)
+
+
+_TX = field_codecs(Transaction)
+_SIGNED = _TX[2:6]  # payload_kind, body, source_chain, destination_chains
 
 
 def make_transaction(
@@ -147,20 +117,7 @@ def make_transaction(
         body=body,
         source_chain=source_chain,
         destination_chains=destinations,
-        signature=sign(_signing_bytes(kind, body, source_chain, destinations), key),
-    )
-
-
-def _header_bytes(
-    height: int, prev_hash: Digest, tx_merkle_root: Digest, timestamp: int,
-    validator_public_key: bytes,
-) -> bytes:
-    return (
-        enc_int(height)
-        + enc_bytes(prev_hash)
-        + enc_bytes(tx_merkle_root)
-        + enc_int(timestamp)
-        + enc_bytes(validator_public_key)
+        signature=sign(encode_values(_SIGNED, (kind, body, source_chain, destinations)), key),
     )
 
 
@@ -176,10 +133,7 @@ class Block:
 
     def header_bytes(self) -> bytes:
         """The signed header; the signature itself is not part of it."""
-        return _header_bytes(
-            self.height, self.prev_hash, self.tx_merkle_root, self.timestamp,
-            self.validator_public_key,
-        )
+        return encode_fields(self, _HEADER)
 
     def header_digest(self) -> Digest:
         """SHA-256 of `header_bytes()`, memoized per object, as
@@ -194,6 +148,12 @@ class Block:
 
     def __getstate__(self) -> dict:
         return {k: v for k, v in self.__dict__.items() if k != "_header_digest"}
+
+
+# the one record whose signed order is not its declaration order
+_HEADER = field_codecs(
+    Block, ("height", "prev_hash", "tx_merkle_root", "timestamp", "validator_public_key")
+)
 
 
 def tx_root(transactions: tuple[Transaction, ...] | list[Transaction]) -> Digest:
@@ -271,7 +231,9 @@ class Chain:
         prev = self.blocks[-1].header_digest() if self.blocks else ZERO_DIGEST
         txs = tuple(self.pending_pool)
         root = tx_root(txs)
-        digest = hash_bytes(_header_bytes(height, prev, root, timestamp, validator.public_key))
+        digest = hash_bytes(
+            encode_values(_HEADER, (height, prev, root, timestamp, validator.public_key))
+        )
         block = Block(
             height=height,
             prev_hash=prev,

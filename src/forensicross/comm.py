@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .canonical import enc_bytes, enc_str, enc_str_list
+from .canonical import encode_fields, encode_values, field_codecs
 from .chain import PayloadKind, Transaction
 from .crypto import KeyPair, sign, verify
 
@@ -72,19 +72,6 @@ def hop_origin(tx: Transaction) -> HopOrigin:
     return HopOrigin(tx.tx_id, tx.source_chain, tx.canonical_bytes(), tx.destination_chains)
 
 
-def _attested_bytes(
-    origin_tx_id: str, origin_chain: str, destinations: tuple[str, ...],
-    body: bytes, node: str,
-) -> bytes:
-    return (
-        enc_str(origin_tx_id)
-        + enc_str(origin_chain)
-        + enc_str_list(destinations)
-        + enc_bytes(body)
-        + enc_str(node)
-    )
-
-
 @dataclass(frozen=True)
 class TranslatedEnvelope:
     origin_tx_id: str
@@ -95,10 +82,10 @@ class TranslatedEnvelope:
     translator_signature: bytes
 
     def attested_bytes(self) -> bytes:
-        return _attested_bytes(
-            self.origin_tx_id, self.origin_chain, self.destination_chains,
-            self.canonical_body, self.translator_node,
-        )
+        return encode_fields(self, _ATTESTED)
+
+
+_ATTESTED = field_codecs(TranslatedEnvelope)[:5]  # every field but the signature
 
 
 def translate(
@@ -114,7 +101,9 @@ def translate(
     if node not in mutual_set.members:
         raise NotMutualNode(f"{node} is not in the mutual set of {mutual_set.chain_id}")
     body = origin.body if corrupt is None else corrupt(origin.body)
-    attested = _attested_bytes(origin.tx_id, origin.chain, origin.destinations, body, node)
+    attested = encode_values(
+        _ATTESTED, (origin.tx_id, origin.chain, origin.destinations, body, node)
+    )
     signature = sign(attested, node_key)
     return TranslatedEnvelope(
         origin.tx_id, origin.chain, origin.destinations, body, node, signature

@@ -1,26 +1,15 @@
 """Typed transaction bodies, one per payload kind.
 
 Each payload is a frozen dataclass. Its canonical bytes are its fields in
-declaration order, and a field's annotation picks its encoding: `str`,
-`bytes`, `int`, `tuple[str, ...]` or `tuple[bytes, ...]`, each with its
-`enc_*` function and `Reader.read_*` method. The same bytes therefore
+declaration order, encoded by `canonical.field_codecs`, so the same bytes
 decode on every chain. Stage-progress control traffic shares the
 StageProposal kind and is distinguished by `phase`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import get_type_hints
+from dataclasses import dataclass
 
-from .canonical import (
-    DecodeError,
-    Reader,
-    enc_bytes,
-    enc_bytes_list,
-    enc_int,
-    enc_str,
-    enc_str_list,
-)
+from .canonical import DecodeError, decode_fields, encode_fields, field_codecs
 from .chain import PayloadKind, Transaction, make_transaction
 from .crypto import KeyPair
 
@@ -95,26 +84,12 @@ PAYLOAD_TYPES = {
 }
 PAYLOAD_KINDS = {cls: kind for kind, cls in PAYLOAD_TYPES.items()}
 
-_CODECS = {
-    str: (enc_str, Reader.read_str),
-    bytes: (enc_bytes, Reader.read_bytes),
-    int: (enc_int, Reader.read_int),
-    tuple[str, ...]: (enc_str_list, Reader.read_str_list),
-    tuple[bytes, ...]: (enc_bytes_list, Reader.read_bytes_list),
-}
-
-# payload class -> [(field name, encoder, reader)] in declaration order
-_FIELD_CODECS = {
-    cls: [(f.name, *_CODECS[get_type_hints(cls)[f.name]]) for f in fields(cls)]
-    for cls in PAYLOAD_TYPES.values()
-}
+_FIELD_CODECS = {cls: field_codecs(cls) for cls in PAYLOAD_TYPES.values()}
 
 
 def encode_payload(payload) -> bytes:
     """The canonical bytes of a typed payload."""
-    return b"".join(
-        enc(getattr(payload, name)) for name, enc, _read in _FIELD_CODECS[type(payload)]
-    )
+    return encode_fields(payload, _FIELD_CODECS[type(payload)])
 
 
 def payload_transaction(
@@ -133,7 +108,4 @@ def decode_payload(kind: PayloadKind, body: bytes):
         cls = PAYLOAD_TYPES[kind]
     except KeyError:
         raise DecodeError(f"no payload decoder for {kind.value}") from None
-    r = Reader(body)
-    out = cls(*[read(r) for _name, _enc, read in _FIELD_CODECS[cls]])
-    r.expect_end()
-    return out
+    return decode_fields(cls, _FIELD_CODECS[cls], body)
