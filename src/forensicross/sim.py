@@ -77,7 +77,7 @@ from .scenario import (
     WorkloadAction,
     chain_names,
 )
-from .topology import Design, validate_topology
+from .topology import Design, communication_counts, validate_topology
 
 PHASE_DELIVER = 0
 PHASE_ACTION = 1
@@ -87,9 +87,7 @@ PHASE_MINE = 2
 def flip_last_byte(data: bytes) -> bytes:
     """Equivocation rule: a deterministic wrong translation, identical across
     every compromised node (flips inside the embedded signature field, so the
-    result still parses)."""
-    if not data:
-        return b"\xff"
+    result still parses). An origin's canonical bytes are never empty."""
     return data[:-1] + bytes([data[-1] ^ 0xFF])
 
 
@@ -994,16 +992,11 @@ def write_registry_snapshot(world: World, path: str | Path) -> None:
 def make_comparison_scenario(
     k: int, design: Design, pattern: str = "single", seed: int = 7
 ) -> Scenario:
-    """Minimal scenario routing one case creation, for mesh/bridge comparison."""
-    if k < 2:
-        raise ValueError("comparison needs k >= 2")
+    """Minimal scenario routing one case creation, for mesh/bridge comparison.
+    `communication_counts` refuses a k below 2 or an unknown pattern."""
+    mesh_hops, _bridge_hops = communication_counts(k, pattern)  # one per destination
     chains = chain_names(k)
-    if pattern == "single":
-        destinations = (chains[1],)
-    elif pattern == "broadcast":
-        destinations = tuple(chains[1:])
-    else:
-        raise ValueError(f"unknown pattern {pattern!r}")
+    destinations = tuple(chains[1:1 + mesh_hops])
     n_i = 3
     n = max(7, n_i * (k - 1) + 1)
     return Scenario(

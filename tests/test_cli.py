@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import SCENARIOS
-from forensicross.cli import EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
+from forensicross.cli import EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, TOPOLOGY_COLUMNS, main
 from forensicross.errors import ScenarioError
 from forensicross.scenario import load_scenario, scenario_from_dict
 
@@ -173,6 +173,51 @@ WRONG_TYPE = {
 }
 
 
+# (edit of tamper_demo, the error message): a name the schema does not know,
+# or one it already has; before this table only the Hypothesis mutations
+# below reached some of these refusals, and only in some runs
+UNKNOWN_NAME = {
+    "action_value": (
+        lambda d: d["policy"]["grants"][0].update(actions=["delete"]),
+        "'delete' is not a valid Action",
+    ),
+    "design": (lambda d: d.update(design="ring"), "'ring' is not a valid Design"),
+    "block_time_chain": (lambda d: d.update(block_time={"Z": 2}), "block_time: unknown chains ['Z']"),
+    "duplicate_user": (
+        lambda d: d["users"].append({"name": "alice", "chain": "A", "role": "investigator"}),
+        "users[3]: duplicate user 'alice'",
+    ),
+    "workload_action": (
+        lambda d: d["workload"][0].update(action="close-case"),
+        "workload[0]: unknown action 'close-case'",
+    ),
+    "workload_user": (
+        lambda d: d["workload"][0].update(user="ghost"), "workload[0]: unknown user 'ghost'"
+    ),
+    "node_user": (
+        lambda d: d["workload"][2].update(nodes=["ghost"]),
+        "workload[2]: unknown user 'ghost' in nodes",
+    ),
+    "vote_chain": (lambda d: d.update(votes=[{**VOTE, "chain": "Z"}]), "votes[0]: unknown chain 'Z'"),
+    "vote_value": (
+        lambda d: d.update(votes=[{**VOTE, "vote": "abstain"}]),
+        "votes[0]: vote must be approve or reject",
+    ),
+    "fault_kind": (
+        lambda d: d.update(faults=[{**TAMPER_FAULT, "kind": "melt"}]),
+        "faults[0]: unknown fault kind 'melt'",
+    ),
+    "fault_rule": (
+        lambda d: d.update(
+            faults=[{"kind": "compromise-mutual-node", "node": "A.m0", "rule": "lie"}]
+        ),
+        "faults[0]: unknown corruption rule 'lie'",
+    ),
+    "fault_chain": (
+        lambda d: d.update(faults=[{**TAMPER_FAULT, "chain": "Z"}]), "faults[0]: unknown chain 'Z'"
+    ),
+}
+
 def run_edited_tamper_demo(tmp_path, scenario_dir, edit) -> int:
     """`forensicross run` on tamper_demo after `edit` of its loaded data."""
     data = yaml.safe_load((scenario_dir / TAMPER).read_text(encoding="utf-8"))
@@ -240,6 +285,20 @@ def test_a_value_of_the_wrong_type_is_a_validation_error(tmp_path, scenario_dir,
     edit, message = WRONG_TYPE[row]
     assert run_edited_tamper_demo(tmp_path, scenario_dir, edit) == EXIT_VALIDATION
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row", sorted(UNKNOWN_NAME))
+def test_an_unknown_or_repeated_name_is_a_validation_error(tmp_path, scenario_dir, capsys, row):
+    edit, message = UNKNOWN_NAME[row]
+    assert run_edited_tamper_demo(tmp_path, scenario_dir, edit) == EXIT_VALIDATION
+    assert message in capsys.readouterr().err
+
+
+def test_an_empty_scenario_file_is_a_validation_error(tmp_path):
+    empty = tmp_path / "empty.yaml"
+    empty.write_text("# nothing here\n", encoding="utf-8")
+    with pytest.raises(ScenarioError, match="empty scenario file"):
+        load_scenario(empty)
 
 
 def test_a_grant_for_an_undeclared_role_is_a_validation_error(tmp_path, scenario_dir, capsys):
@@ -372,6 +431,17 @@ def test_topology_bad_range(tmp_path, capsys):
     assert "bad k range" in capsys.readouterr().err
 
 
+def test_topology_structured_text(tmp_path, capsys):
+    code = run_cli(
+        "topology", "--k-min", "2", "--k-max", "3", "--format", "structured-text",
+        "--out", str(tmp_path),
+    )
+    assert code == EXIT_OK
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split() == TOPOLOGY_COLUMNS
+    assert [row.split()[0] for row in rows] == ["2", "3"]
+
+
 def test_provenance_demo_clean_run(tmp_path, scenario_dir, capsys):
     code = run_cli(
         "provenance-demo", "--scenario", str(scenario_dir / TAMPER),
@@ -427,6 +497,46 @@ def test_provenance_demo_bad_tamper_spec(tmp_path, scenario_dir, capsys):
         "--out", str(tmp_path), "--tamper", "B-2-1",
     )
     assert code == 1
+
+
+def test_provenance_demo_tamper_stage_must_be_a_number(tmp_path, scenario_dir, capsys):
+    code = run_cli(
+        "provenance-demo", "--scenario", str(scenario_dir / TAMPER),
+        "--out", str(tmp_path), "--tamper", "B:x:1",
+    )
+    assert code == EXIT_USAGE
+    assert "bad --tamper spec 'B:x:1'" in capsys.readouterr().err
+
+
+def test_provenance_demo_rejects_invalid_topology_citing_rule(tmp_path, scenario_dir, capsys):
+    code = run_cli(
+        "provenance-demo", "--scenario", str(scenario_dir / "invalid_topology.yaml"),
+        "--out", str(tmp_path),
+    )
+    assert code == EXIT_VALIDATION
+    assert "eq1" in capsys.readouterr().err
+
+
+def test_provenance_demo_on_a_mesh_has_no_registered_case(tmp_path, scenario_dir, capsys):
+    code = run_cli(
+        "provenance-demo", "--scenario", str(scenario_dir / "mesh_small.yaml"),
+        "--out", str(tmp_path),
+    )
+    assert code == EXIT_VALIDATION
+    assert "no registered cases" in capsys.readouterr().err
+
+
+def test_provenance_demo_needs_a_query_node(tmp_path, scenario_dir, capsys):
+    data = yaml.safe_load((scenario_dir / "bridge_small.yaml").read_text(encoding="utf-8"))
+    data["workload"] = [
+        row for row in data["workload"] if row["action"] != "assign-query-nodes"
+    ]
+    unassigned = tmp_path / "unassigned.yaml"
+    unassigned.write_text(yaml.safe_dump(data), encoding="utf-8")
+    code = run_cli("provenance-demo", "--scenario", str(unassigned), "--out", str(tmp_path))
+    assert code == EXIT_VALIDATION
+    assert "case C-7 has no query nodes" in capsys.readouterr().err
+    assert not (tmp_path / "bundle.json").exists()
 
 
 def test_version(capsys):

@@ -62,6 +62,11 @@ def test_zero_chains_is_an_error():
         bridge_requirements(0)
 
 
+def test_bridge_mutual_nodes_of_zero_chains_is_an_error():
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        bridge_mutual_nodes(0)
+
+
 def test_validate_minimum_bridge_config_is_ok():
     params = TopologyParams(k=3, m=19, n=11, n_i=3, b_i=9)
     assert validate_topology(params, Design.BRIDGE) == []
@@ -90,6 +95,13 @@ def test_validate_mesh_feasibility():
 def test_validate_flags_an_even_mesh_pair_set():
     params = TopologyParams(k=3, m=19, n=11, n_i=4, b_i=12)
     assert [v.rule for v in validate_topology(params, Design.MESH)] == ["odd"]
+
+
+def test_validate_flags_a_bridge_too_small_for_its_mutual_sets():
+    # 3 >= 5/2, and 2 disjoint sets of 3 need 6 > 5 bridge nodes
+    params = TopologyParams(k=2, m=5, n=11, n_i=3, b_i=6)
+    rules = [v.rule for v in validate_topology(params, Design.BRIDGE)]
+    assert rules == ["eq1", "eq3", "eq5"]  # a share of 3 also exceeds m/2
 
 
 def test_validate_rejects_inconsistent_bridge_total():
@@ -121,6 +133,11 @@ def test_communication_counts_rejects_k_below_two():
         communication_counts(1, "single")
 
 
+def test_communication_counts_rejects_an_unknown_pattern():
+    with pytest.raises(ValueError, match="unknown pattern 'ring'"):
+        communication_counts(3, "ring")
+
+
 def test_comparison_table_monotone_for_k_at_least_two():
     rows = comparison_table(2, 10)
     assert len(rows) == 9
@@ -134,6 +151,14 @@ def test_comparison_table_k3_row():
     (row,) = comparison_table(3, 3)
     assert row["mesh_mutual"] == row["bridge_mutual"] == 9
     assert row["m_min"] == 19
+
+
+def test_comparison_table_k1_row_has_no_hops():
+    row, _k2 = comparison_table(1, 2)
+    assert row == {
+        "k": 1, "mesh_mutual": 0, "bridge_mutual": 3, "mesh_hops_broadcast": 0,
+        "bridge_hops_broadcast": 0, "m_min": 7, "b_min": 3,
+    }
 
 
 def test_comparison_table_bad_range():
