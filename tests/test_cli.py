@@ -174,15 +174,17 @@ WRONG_TYPE = {
 
 
 # (edit of tamper_demo, the error message): a name the schema does not know,
-# or one it already has; before this table only the Hypothesis mutations
-# below reached some of these refusals, and only in some runs
+# or one it already has; otherwise only the unseeded mutation test below
+# reaches these refusals, and only in some runs
 UNKNOWN_NAME = {
     "action_value": (
         lambda d: d["policy"]["grants"][0].update(actions=["delete"]),
         "'delete' is not a valid Action",
     ),
     "design": (lambda d: d.update(design="ring"), "'ring' is not a valid Design"),
-    "block_time_chain": (lambda d: d.update(block_time={"Z": 2}), "block_time: unknown chains ['Z']"),
+    "block_time_chain": (
+        lambda d: d.update(block_time={"Z": 2}), "block_time: unknown chains ['Z']"
+    ),
     "duplicate_user": (
         lambda d: d["users"].append({"name": "alice", "chain": "A", "role": "investigator"}),
         "users[3]: duplicate user 'alice'",
@@ -198,7 +200,9 @@ UNKNOWN_NAME = {
         lambda d: d["workload"][2].update(nodes=["ghost"]),
         "workload[2]: unknown user 'ghost' in nodes",
     ),
-    "vote_chain": (lambda d: d.update(votes=[{**VOTE, "chain": "Z"}]), "votes[0]: unknown chain 'Z'"),
+    "vote_chain": (
+        lambda d: d.update(votes=[{**VOTE, "chain": "Z"}]), "votes[0]: unknown chain 'Z'"
+    ),
     "vote_value": (
         lambda d: d.update(votes=[{**VOTE, "vote": "abstain"}]),
         "votes[0]: vote must be approve or reject",
@@ -217,6 +221,7 @@ UNKNOWN_NAME = {
         lambda d: d.update(faults=[{**TAMPER_FAULT, "chain": "Z"}]), "faults[0]: unknown chain 'Z'"
     ),
 }
+
 
 def run_edited_tamper_demo(tmp_path, scenario_dir, edit) -> int:
     """`forensicross run` on tamper_demo after `edit` of its loaded data."""

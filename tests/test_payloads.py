@@ -15,7 +15,13 @@ from hypothesis import strategies as st
 
 from conftest import transactions
 from forensicross.canonical import DecodeError, enc_bytes, enc_int, enc_str, enc_str_list
-from forensicross.chain import EMPTY_BLOCK_MARKER, Chain, PayloadKind, Transaction, make_transaction
+from forensicross.chain import (
+    EMPTY_BLOCK_MARKER,
+    Chain,
+    PayloadKind,
+    Transaction,
+    make_transaction,
+)
 from forensicross.comm import HopOrigin, MutualNodeSet, translate
 from forensicross.crypto import ZERO_DIGEST, KeyPair, hash_bytes, verify
 from forensicross.lifecycle import AccessPolicy, Action

@@ -828,7 +828,7 @@ def test_a_record_its_source_replica_refuses_does_not_halt_the_run(
     refusals = [(e["op"], e["error"]) for e in world.events if e["event"] == "registry_error"]
     assert refusals == expected
     report = world.reports.get(accepted.tx_id)
-    assert (report and report.status) == status
+    assert (report.status if report else None) == status
     assert any(e["event"] == "provenance_extracted" for e in world.events)  # ran to its end
 
 
