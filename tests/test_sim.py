@@ -625,6 +625,30 @@ def test_a_dispatched_policy_goes_to_every_other_participant(scenario_dir):
     assert all(org.cases["C-7"].policy is not None for org in world.org.values())
 
 
+DUPLICATE_CREATIONS = {
+    # scenario: (case alice creates again on A at tick 2, its destinations,
+    # each refusal's (tick, error)): A's replica refuses it as it is mined,
+    # then the next hop as it arrives
+    "mesh_small": ("M-1", ["C"], [(2, "DuplicateCase"), (3, "DuplicateCase")]),
+    "bridge_small": ("C-7", ["B"], [(2, "DuplicateCase"), (3, "DuplicateCase")]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DUPLICATE_CREATIONS))
+def test_a_case_created_twice_is_refused_on_every_side(scenario_dir, name):
+    case, destinations, expected = DUPLICATE_CREATIONS[name]
+    row = {"tick": 2, "action": "create-case", "chain": "A", "user": "alice",
+           "case": case, "destinations": destinations}
+    world = _edited_run(scenario_dir, name, lambda workload: workload.append(row))
+    created = [e["chain"] for e in world.events
+               if e["event"] == "local_case_created" and e["case"] == case]
+    assert sorted(created) == ["A", "B", "C"]  # each replica once, from tick 1's creation
+    refusals = [(e["tick"], e["error"]) for e in world.events if e["event"] == "registry_error"]
+    assert refusals == expected
+    assert world.reports["A:2"].status == "registry-rejected"
+    assert world.org["A"].require_case(case).destination_chains == ("B", "C")
+
+
 def test_payload_tables_cover_every_kind():
     local_only = {PayloadKind.DATA_ACCESS_LOG, PayloadKind.INTERCHAIN_ENVELOPE}
     assert set(World.BRIDGE_HANDLERS) == set(PayloadKind) - local_only
