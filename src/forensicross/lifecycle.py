@@ -1,20 +1,22 @@
 """Organization-chain side of a case: registered users, each chain's case
 replica, the staged role matrix, and retrieval/upload logging.
 
-Every chain keeps its own view of each shared case (creator, participants,
-current stage, the dispatched policy). Access decisions are deny-by-default
-lookups in a (role, stage) -> actions matrix; every attempt, allowed or
-denied, becomes a DataAccessLog transaction on the local chain.
+`Case` declares a shared case once; the bridge's `registry.CaseContract`
+and each chain's replica, `LocalCase`, extend it, and `add_case` creates
+both. Access decisions are deny-by-default lookups in a (role, stage) ->
+actions matrix; every attempt, allowed or denied, becomes a DataAccessLog
+transaction on the local chain.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import TypeVar
 
 from .canonical import DecodeError, Reader, dec_enum, enc_int, enc_str, enc_str_list
 from .chain import Transaction
 from .crypto import Digest, KeyPair, hash_bytes
-from .errors import MalformedPolicy, UnknownCase, UnknownUser
+from .errors import DuplicateCase, MalformedPolicy, NoDestinations, UnknownCase, UnknownUser
 from .payloads import DataAccessLogPayload, payload_transaction
 
 DEFAULT_STAGE_NAMES = (
@@ -103,7 +105,36 @@ def check_access(policy: AccessPolicy, role: str, stage: int, action: Action) ->
 
 
 @dataclass
-class LocalCase:
+class Case:
+    """A shared case as the bridge's registry and every chain's replica
+    hold it: its identity and the policy dispatched for it."""
+
+    case_number: str
+    source_chain: str
+    destination_chains: tuple[str, ...]
+    creator_public_key: bytes
+    policy: AccessPolicy | None = None
+
+    @property
+    def participants(self) -> tuple[str, ...]:
+        return (self.source_chain, *self.destination_chains)
+
+
+CaseT = TypeVar("CaseT", bound=Case)
+
+
+def add_case(cases: dict[str, CaseT], case: CaseT) -> CaseT:
+    """Add a new case: the one creation rule of the registry and every replica."""
+    if case.case_number in cases:
+        raise DuplicateCase(case.case_number)
+    if not case.destination_chains:
+        raise NoDestinations(case.case_number)
+    cases[case.case_number] = case
+    return case
+
+
+@dataclass
+class LocalCase(Case):
     """One chain's replica of a shared case's control state.
 
     `rounds` maps a stage to the last proposal round the bridge sent this
@@ -112,17 +143,8 @@ class LocalCase:
     any participant can re-propose a blocked stage.
     """
 
-    case_number: str
-    source_chain: str
-    destination_chains: tuple[str, ...]
-    creator_public_key: bytes
     stage: int = 0
-    policy: AccessPolicy | None = None
     rounds: dict[int, int] = field(default_factory=dict)
-
-    @property
-    def participants(self) -> tuple[str, ...]:
-        return (self.source_chain, *self.destination_chains)
 
 
 class OrgChainState:
@@ -178,19 +200,16 @@ class OrgChainState:
         self, case_number: str, source_chain: str,
         destinations: tuple[str, ...], creator: bytes,
     ) -> LocalCase:
-        case = LocalCase(
-            case_number=case_number,
-            source_chain=source_chain,
-            destination_chains=destinations,
-            creator_public_key=creator,
-        )
-        self.cases.setdefault(case_number, case)
-        return self.cases[case_number]
+        return add_case(self.cases, LocalCase(case_number, source_chain, destinations, creator))
 
     def apply_policy(self, case_number: str, policy: AccessPolicy) -> None:
         self.require_case(case_number).policy = policy
 
     def apply_stage_advance(self, case_number: str, stage: int) -> None:
+        """Move the replica to a higher `stage`, not strictly the next one:
+        only the bridge's contract can sign an advance, and the bridge
+        advances one stage at a time. A strict +1 rule would strand a
+        replica for good once one advance expired and a later one arrived."""
         case = self.require_case(case_number)
         if stage > case.stage:
             case.stage = stage

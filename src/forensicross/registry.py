@@ -17,15 +17,13 @@ from enum import Enum
 from .crypto import Digest
 from .errors import (
     DoubleVote,
-    DuplicateCase,
     FutureStage,
-    NoDestinations,
     NonParticipant,
     ProposalAlreadyOpen,
     StaleStage,
     UnknownCase,
 )
-from .lifecycle import AccessPolicy
+from .lifecycle import AccessPolicy, Case, add_case
 from .payloads import VOTE_APPROVE
 from .provenance import EMPTY_STAGE_LEAF, case_chain_root, stage_leaf
 
@@ -69,21 +67,12 @@ class ProposalRound:
 
 
 @dataclass
-class CaseContract:
-    case_number: str
-    source_chain: str
-    destination_chains: tuple[str, ...]
-    creator_public_key: bytes
+class CaseContract(Case):
     stage_count: int = DEFAULT_STAGE_COUNT
     current_stage: int = 0
     query_nodes: set[bytes] = field(default_factory=set)
-    policy: AccessPolicy | None = None
     rounds: list[ProposalRound] = field(default_factory=list)
     stage_records: dict[tuple[str, int], StageHashRecord] = field(default_factory=dict)
-
-    @property
-    def participants(self) -> tuple[str, ...]:
-        return (self.source_chain, *self.destination_chains)
 
 
 class BridgeRegistry:
@@ -112,19 +101,10 @@ class BridgeRegistry:
         destination_chains: tuple[str, ...],
         creator_public_key: bytes,
     ) -> CaseContract:
-        if case_number in self.cases:
-            raise DuplicateCase(case_number)
-        if not destination_chains:
-            raise NoDestinations(case_number)
-        contract = CaseContract(
-            case_number=case_number,
-            source_chain=source_chain,
-            destination_chains=tuple(destination_chains),
-            creator_public_key=creator_public_key,
+        return add_case(self.cases, CaseContract(
+            case_number, source_chain, tuple(destination_chains), creator_public_key,
             stage_count=self.stage_count,
-        )
-        self.cases[case_number] = contract
-        return contract
+        ))
 
     # -- phase 2: access policy ----------------------------------------------
 

@@ -492,7 +492,7 @@ class World:
         try:
             payload = decode_payload(PayloadKind.DATA_ACCESS_LOG, tx.body)
         except DecodeError as exc:  # on chain, but no log entry: refuse, do not halt
-            self._registry_error(tick, PayloadKind.DATA_ACCESS_LOG.value, exc)
+            self._registry_error(chain_id, tick, PayloadKind.DATA_ACCESS_LOG.value, exc)
             return
         if payload.stage >= self.scenario.stage_count:
             return  # case already closed; on-chain log only
@@ -631,7 +631,7 @@ class World:
         try:
             origin = Transaction.from_canonical(entry.winning_body)
         except DecodeError as exc:
-            self._registry_error(tick, PayloadKind.INTERCHAIN_ENVELOPE.value, exc)
+            self._registry_error(target_chain, tick, PayloadKind.INTERCHAIN_ENVELOPE.value, exc)
             forward = None
         else:
             forward = self._apply(target_chain, origin, tick)
@@ -659,11 +659,12 @@ class World:
                 raise UnexpectedKind(f"chain {chain_id} does not handle {kind.value}")
             return handler(self, chain_id, tx, decode_payload(kind, tx.body), tick) or ()
         except (ForensicrossError, DecodeError) as exc:
-            self._registry_error(tick, kind.value, exc)
+            self._registry_error(chain_id, tick, kind.value, exc)
             return None
 
-    def _registry_error(self, tick: int, op: str, exc: Exception) -> None:
-        self.emit(tick, "registry_error", op=op, error=type(exc).__name__, detail=str(exc))
+    def _registry_error(self, chain_id: str, tick: int, op: str, exc: Exception) -> None:
+        self.emit(tick, "registry_error", chain=chain_id, op=op,
+                  error=type(exc).__name__, detail=str(exc))
 
     def _require_contract(self, tx: Transaction, chain_id: str) -> None:
         """Refuse `tx` unless `chain_id`'s contract, the one voice of that chain, signed it."""
@@ -816,7 +817,7 @@ class World:
         try:
             record = self.registry.record_stage_hash(case_number, chain_id, stage, tx_hash)
         except ForensicrossError as exc:
-            self._registry_error(tick, "record_stage_hash", exc)
+            self._registry_error(BRIDGE_CHAIN_ID, tick, "record_stage_hash", exc)
             return
         self.emit(
             tick, "stage_hash_recorded",

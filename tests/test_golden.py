@@ -3,7 +3,9 @@
 The events and metrics hashes of the bundled scenarios were recorded before
 the Ed25519 work-avoidance changes in `crypto.py` and `comm.py`. The
 registry hashes and the error-path scenario were recorded before the
-payload handlers in `sim.py` became tables. A refactor or optimisation that
+payload handlers in `sim.py` became tables; the error-path events hash was
+re-pinned when each replica began refusing a duplicate case and each
+`registry_error` began naming the chain that refused. A refactor or optimisation that
 keeps these bytes the same keeps the simulator's observable behaviour; a
 change that moves them must say why and re-pin them.
 
@@ -57,7 +59,7 @@ GOLDEN = {
 # registry-rejected report or provenance_denied; these rows on top of
 # bridge_small do, one per branch.
 ERROR_ROWS = [
-    # DuplicateCase at the bridge
+    # DuplicateCase at A's replica and at the bridge
     {"tick": 2, "action": "create-case", "chain": "A", "user": "alice",
      "case": "C-7", "destinations": ["B"]},
     # ProposalAlreadyOpen: stage 1 is still being voted on
@@ -71,7 +73,7 @@ ERROR_ROWS = [
      "case": "C-404", "stage": 1},
 ]
 ERROR_GOLDEN = (
-    "a81c2a96675006501fba8d4275552787b02a2d2ee91f224d35e9627c046f1961",
+    "a1cd7382fdbb917678ddc93823de558668a9ab3b9677a32e2a442c308ad83729",
     "9ef12420041261cf6cd30775ab50d81ff4d8fa04b5f7db588359d557f37f235b",
     "55e1ee2ea4ad875df534b805ca88b59717a3b590a5c2534aaa216c0a17ded85b",
 )
@@ -97,14 +99,15 @@ def test_error_path_artifacts_match_golden_hashes(scenario_dir, tmp_path):
     world = run_scenario(scenario_from_dict(data, name="bridge_small_errors"))
 
     errors = [
-        (e["event"], e["error"]) for e in world.events
+        (e["event"], e.get("chain"), e["error"]) for e in world.events
         if e["event"] in ("registry_error", "provenance_denied", "action_error")
     ]
     assert errors == [
-        ("registry_error", "DuplicateCase"),
-        ("registry_error", "ProposalAlreadyOpen"),
-        ("provenance_denied", "NotQueryNode"),
-        ("action_error", "UnknownCase"),
+        ("registry_error", "A", "DuplicateCase"),
+        ("registry_error", "BRIDGE", "DuplicateCase"),
+        ("registry_error", "BRIDGE", "ProposalAlreadyOpen"),
+        ("provenance_denied", None, "NotQueryNode"),
+        ("action_error", "A", "UnknownCase"),
     ]
     rejected = [r.kind for r in world.reports.values() if r.status == "registry-rejected"]
     assert rejected == ["CaseCreate", "StageProposal"]

@@ -627,10 +627,10 @@ def test_a_dispatched_policy_goes_to_every_other_participant(scenario_dir):
 
 DUPLICATE_CREATIONS = {
     # scenario: (case alice creates again on A at tick 2, its destinations,
-    # each refusal's (tick, error)): A's replica refuses it as it is mined,
+    # each refusal's (tick, chain)): A's replica refuses it as it is mined,
     # then the next hop as it arrives
-    "mesh_small": ("M-1", ["C"], [(2, "DuplicateCase"), (3, "DuplicateCase")]),
-    "bridge_small": ("C-7", ["B"], [(2, "DuplicateCase"), (3, "DuplicateCase")]),
+    "mesh_small": ("M-1", ["C"], [(2, "A"), (3, "C")]),
+    "bridge_small": ("C-7", ["B"], [(2, "A"), (3, BRIDGE_CHAIN_ID)]),
 }
 
 
@@ -643,8 +643,9 @@ def test_a_case_created_twice_is_refused_on_every_side(scenario_dir, name):
     created = [e["chain"] for e in world.events
                if e["event"] == "local_case_created" and e["case"] == case]
     assert sorted(created) == ["A", "B", "C"]  # each replica once, from tick 1's creation
-    refusals = [(e["tick"], e["error"]) for e in world.events if e["event"] == "registry_error"]
-    assert refusals == expected
+    refusals = [(e["tick"], e["chain"], e["error"])
+                for e in world.events if e["event"] == "registry_error"]
+    assert refusals == [(tick, chain, "DuplicateCase") for tick, chain in expected]
     assert world.reports["A:2"].status == "registry-rejected"
     assert world.org["A"].require_case(case).destination_chains == ("B", "C")
 
