@@ -366,8 +366,6 @@ class World:
             self._user_key(a.user), a.case, action, hash_bytes(label.encode())
         )
         accepted = self._submit_local(a.chain, tx, tick)
-        if accepted is None:
-            return
         self.emit(
             tick, "access",
             chain=a.chain, case=a.case, actor=a.user, role=payload.role,
