@@ -206,9 +206,10 @@ class OrgChainState:
         self.require_case(case_number).policy = policy
 
     def apply_stage_advance(self, case_number: str, stage: int) -> None:
-        """Move the replica to a higher `stage`, not strictly the next one:
-        only the bridge's contract can sign an advance, and the bridge
-        advances one stage at a time. A strict +1 rule would strand a
+        """Move the replica to `stage` if it is higher; a lower or repeated
+        advance changes nothing. Any higher stage is taken, not strictly the
+        next one: only the bridge's contract can sign an advance, and the
+        bridge advances one stage at a time. A strict +1 rule would strand a
         replica for good once one advance expired and a later one arrived."""
         case = self.require_case(case_number)
         if stage > case.stage:

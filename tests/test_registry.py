@@ -1,6 +1,16 @@
 from itertools import product
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+    run_state_machine_as_test,
+)
 
 from forensicross.crypto import hash_bytes
 from forensicross.errors import (
@@ -13,8 +23,10 @@ from forensicross.errors import (
     StaleStage,
     UnknownCase,
 )
+from forensicross.lifecycle import OrgChainState
 from forensicross.payloads import VOTE_APPROVE, VOTE_REJECT
 from forensicross.registry import BridgeRegistry, StageOutcome
+from forensicross.scenario import BRIDGE_CHAIN_ID
 from oracles import nested_stage_leaf
 
 CREATOR = hash_bytes(b"creator-key")
@@ -34,16 +46,26 @@ def test_register_case_starts_at_stage_zero():
     assert case.creator_public_key == CREATOR
 
 
-def test_register_case_twice_is_duplicate():
-    registry = registry_with_case()
+# each side's creation call: the bridge's registry and a chain's replica
+CREATE = {
+    "registry": lambda: BridgeRegistry().register_case,
+    "replica": lambda: OrgChainState("A").apply_case_create,
+}
+
+
+@pytest.mark.parametrize("side", sorted(CREATE))
+def test_register_case_twice_is_duplicate(side):
+    create = CREATE[side]()
+    first = create("C-1", "A", ("B",), CREATOR)
     with pytest.raises(DuplicateCase):
-        registry.register_case("C-1", "A", ("B",), CREATOR)
+        create("C-1", "A", ("C",), CREATOR)
+    assert first.destination_chains == ("B",)
 
 
-def test_register_case_requires_destinations():
-    registry = BridgeRegistry()
+@pytest.mark.parametrize("side", sorted(CREATE))
+def test_register_case_requires_destinations(side):
     with pytest.raises(NoDestinations):
-        registry.register_case("C-2", "A", (), CREATOR)
+        CREATE[side]()("C-2", "A", (), CREATOR)
 
 
 def test_record_stage_hash_appends_and_recomputes_leaf():
@@ -206,3 +228,136 @@ def test_snapshot_is_deterministic_and_json_ready():
     assert snap1 == snap2
     parsed = json.loads(snap1)
     assert parsed["cases"]["C-1"]["current_stage"] == 0
+
+
+NUMBERS = ("C-1", "C-2")  # few, so that creations often repeat a number
+
+
+class CaseReplicas(RuleBasedStateMachine):
+    """One registry and k replicas, as the bridge design connects them. A
+    creation is applied by its source's replica and sent to the bridge; the
+    bridge sends an accepted creation to its destinations and an advance to
+    every participant. Creations, proposals, votes and deliveries come in
+    any order, and a delivery may be lost."""
+
+    @initialize(k=st.sampled_from([2, 3]))
+    def build(self, k):
+        self.chains = ("A", "B", "C")[:k]
+        self.registry = BridgeRegistry(stage_count=3)
+        self.replicas = {chain: OrgChainState(chain) for chain in self.chains}
+        self.pending = []  # (target chain, creation arguments or (number, stage))
+        self.lost = set()  # (target chain, case number) of each lost delivery
+        # C-1 starts on every side, so that a short run reaches its votes
+        self._create_at("A", ("C-1", "A", self.chains[1:], b"A"))
+        self.deliver_all()
+
+    @staticmethod
+    def _create(cases, create, args) -> bool:
+        """A side refuses exactly the numbers it holds, and keeps what it holds."""
+        held = cases.get(args[0])
+        if held is None:
+            create(*args)
+            return True
+        with pytest.raises(DuplicateCase):
+            create(*args)
+        assert cases[args[0]] is held
+        return False
+
+    def _deliver(self, index: int) -> None:
+        target, args = self.pending.pop(index)
+        if target == BRIDGE_CHAIN_ID:
+            if self._create(self.registry.cases, self.registry.register_case, args):
+                self.pending += [(chain, args) for chain in args[2]]
+            return
+        replica = self.replicas[target]
+        if len(args) == 4:
+            self._create(replica.cases, replica.apply_case_create, args)
+            return
+        try:
+            replica.apply_stage_advance(*args)
+        except UnknownCase:
+            self.lost.add((target, args[0]))  # the advance outran the creation
+
+    @rule(data=st.data(), number=st.sampled_from(NUMBERS))
+    def create(self, data, number):
+        source = data.draw(st.sampled_from(self.chains))
+        others = [chain for chain in self.chains if chain != source]
+        destinations = data.draw(st.lists(st.sampled_from(others), min_size=1, unique=True))
+        self._create_at(source, (number, source, tuple(destinations), source.encode()))
+
+    def _create_at(self, source: str, args) -> None:
+        replica = self.replicas[source]
+        self._create(replica.cases, replica.apply_case_create, args)
+        self.pending.append((BRIDGE_CHAIN_ID, args))
+
+    @staticmethod
+    def _voting(case) -> bool:
+        return bool(case.rounds) and not case.rounds[-1].closed
+
+    def _open(self) -> list:
+        return [c for c in self.registry.cases.values() if self._voting(c)]
+
+    def _proposable(self) -> list:
+        return [
+            c for c in self.registry.cases.values()
+            if not self._voting(c) and c.current_stage < c.stage_count
+        ]
+
+    @precondition(lambda self: self._proposable())
+    @rule(data=st.data())
+    def propose(self, data):
+        case = data.draw(st.sampled_from(self._proposable()))
+        chain = data.draw(st.sampled_from(case.participants))
+        self.registry.open_stage_proposal(case.case_number, chain, case.current_stage + 1)
+
+    @precondition(lambda self: self._open())
+    @rule(data=st.data(), vote=st.sampled_from([VOTE_APPROVE, VOTE_APPROVE, VOTE_REJECT]))
+    def vote(self, data, vote):
+        case = data.draw(st.sampled_from(self._open()))
+        last = case.rounds[-1]
+        chain = data.draw(st.sampled_from([c for c in case.participants if c not in last.votes]))
+        result = self.registry.process_stage_vote(
+            case.case_number, chain, last.stage, last.round, vote
+        )
+        if result.outcome is StageOutcome.ADVANCED:
+            self.pending += [(c, (case.case_number, result.stage)) for c in case.participants]
+
+    @precondition(lambda self: self.pending)
+    @rule(data=st.data())
+    def deliver(self, data):
+        self._deliver(-1 - data.draw(st.integers(0, len(self.pending) - 1)))  # shrinks to the newest
+
+    @precondition(lambda self: self.pending)
+    @rule(data=st.data())
+    def lose(self, data):
+        target, args = self.pending.pop(data.draw(st.integers(0, len(self.pending) - 1)))
+        self.lost.add((target, args[0]))
+
+    @precondition(lambda self: self.pending)
+    @rule()
+    def deliver_all(self):
+        while self.pending:
+            self._deliver(0)
+
+    @invariant()
+    def no_replica_passes_the_registry(self):
+        for replica in self.replicas.values():
+            for number, case in replica.cases.items():
+                contract = self.registry.cases.get(number)
+                assert case.stage <= (contract.current_stage if contract else 0)
+
+    @invariant()
+    def at_rest_with_nothing_lost_the_stages_are_equal(self):
+        if self.pending:
+            return
+        for number, contract in self.registry.cases.items():
+            reached = [c for c in contract.participants if (c, number) not in self.lost]
+            for chain in reached:
+                assert self.replicas[chain].require_case(number).stage == contract.current_stage
+
+
+def test_the_registry_and_every_replica_agree_on_each_case():
+    run_state_machine_as_test(
+        CaseReplicas,
+        settings=settings(max_examples=60, stateful_step_count=40, deadline=None),
+    )
