@@ -210,10 +210,7 @@ def _openssl_verify(message: bytes, signature: bytes, public_key: bytes) -> bool
     try:
         pub.verify(signature, message)
         return True
-    except InvalidSignature:
-        return False
-    except ValueError:
-        # e.g. signature of the wrong length
+    except InvalidSignature:  # a wrong-length signature too
         return False
 
 

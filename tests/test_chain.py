@@ -77,6 +77,34 @@ def test_submit_rejects_unknown_payload_kind():
     assert err.value.reason == "UnknownPayloadKind"
 
 
+def test_a_sender_key_that_is_not_32_bytes_is_an_invalid_signature():
+    chain, _v, user = fresh_chain()
+    tx = replace(some_tx(user), sender_public_key=user.public_key[:31])
+    with pytest.raises(SubmitError) as err:
+        chain.submit_transaction(tx)
+    assert err.value.reason == "InvalidSignature"
+    assert chain.pending_pool == []
+
+
+def test_a_carried_tx_id_is_kept_once_and_then_refused():
+    chain, _v, user = fresh_chain()
+    carried = replace(some_tx(user), tx_id="X:7")  # the signature does not cover the id
+    assert chain.submit_transaction(carried) is carried
+    other = replace(some_tx(user, body=b"other"), tx_id="X:7")
+    with pytest.raises(SubmitError) as err:
+        chain.submit_transaction(other)
+    assert err.value.reason == "DuplicateTxId"
+    assert chain.pending_pool == [carried]
+
+
+def test_a_malformed_authority_key_fails_the_validator_signature_check():
+    # the block names the scheduled authority, whose key cannot verify anything
+    validator = KeyPair(public_key=bytes(31), private_key=hash_bytes(b"short key"))
+    chain = Chain("T", [validator.public_key])
+    chain.mine_block(validator)
+    assert validate_chain(chain) == ChainFault(0, "validator signature invalid")
+
+
 def test_a_chain_needs_an_authority():
     with pytest.raises(ValueError, match="must not be empty"):
         Chain("T", [])

@@ -418,6 +418,7 @@ def _derive_other_key(public, secret, seed):
 
 
 BROKEN_LIBRARIES = {
+    "sodium_init fails": {"sodium_init": lambda: -1},
     "verify accepts everything": {"crypto_sign_ed25519_verify_detached": lambda *args: 0},
     "derives the wrong public key": {"crypto_sign_ed25519_seed_keypair": _derive_other_key},
     "sign returns wrong bytes": {
@@ -445,3 +446,30 @@ def test_a_broken_library_leaves_the_openssl_path_in_use(monkeypatch, fault):
     assert verify(b"m", signature, key.public_key)
     assert not verify(b"m", bytes(64), key.public_key)
     assert "_sodium_secret" not in vars(key)
+
+
+def test_a_library_without_the_ed25519_symbols_is_not_used():
+    fake = _fake_sodium()
+    del fake.crypto_sign_ed25519_verify_detached
+    assert crypto._checked_sodium(fake) is None
+
+
+def test_a_host_without_libsodium_loads_none(monkeypatch):
+    def absent(soname):
+        raise OSError(f"{soname}: cannot open shared object file")
+
+    monkeypatch.setattr(crypto.ctypes, "CDLL", absent)
+    assert crypto._load_sodium() is None
+
+
+def test_openssl_refuses_a_key_that_is_not_32_bytes():
+    with pytest.raises(MalformedKeyError):
+        crypto._openssl_verify(b"m", bytes(64), bytes(31))
+
+
+def test_openssl_refuses_a_signature_of_the_wrong_length():
+    key = KeyPair.derive("wrong length")
+    signature = sign(b"m", key)
+    for wrong in (signature[:63], signature + b"\x00", b""):
+        assert crypto._openssl_verify(b"m", wrong, key.public_key) is False
+        assert verify(b"m", wrong, key.public_key) is False

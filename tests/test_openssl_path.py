@@ -22,4 +22,7 @@ del (
     test_a_small_order_r_is_decided_by_openssl,
     test_a_library_that_matches_openssl_passes_the_known_answer_test,
     test_a_broken_library_leaves_the_openssl_path_in_use,
+    test_a_library_without_the_ed25519_symbols_is_not_used,
+    test_a_host_without_libsodium_loads_none,
+    test_openssl_refuses_a_key_that_is_not_32_bytes,
 )

@@ -320,3 +320,13 @@ def test_transaction_with_any_kind_text_decodes_or_raises_decode_error(tx, kind)
         assert kind not in {k.value for k in PayloadKind}
     else:
         assert decoded.payload_kind.value == kind
+
+
+def test_a_negative_integer_has_no_canonical_encoding():
+    with pytest.raises(ValueError, match="unsigned, got -1"):
+        enc_int(-1)
+
+
+def test_text_that_is_not_utf8_is_a_decode_error():
+    with pytest.raises(DecodeError, match="invalid utf-8"):
+        Transaction.from_canonical(enc_bytes(b"\xff"))
