@@ -72,7 +72,7 @@ def hop_origin(tx: Transaction) -> HopOrigin:
     return HopOrigin(tx.tx_id, tx.source_chain, tx.canonical_bytes(), tx.destination_chains)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TranslatedEnvelope:
     origin_tx_id: str
     origin_chain: str
@@ -117,7 +117,7 @@ class VerifyStatus(Enum):
     EXPIRED = "Expired"
 
 
-@dataclass
+@dataclass(slots=True)
 class LedgerEntry:
     """Per-origin-transaction verification state on one receiving contract."""
 
@@ -206,7 +206,7 @@ class VerificationContract:
         return entry, True, False
 
 
-@dataclass
+@dataclass(slots=True)
 class Hop:
     hop: str  # "mutual-receipt" | "bridge-verify" | "destination-verify"
     chain: str
@@ -219,7 +219,7 @@ REFUSALS = ("rejected", "expired", "validated-malicious", "registry-rejected")
 ACCEPTED = ("validated", "validated-malicious", "registry-rejected")
 
 
-@dataclass
+@dataclass(slots=True)
 class DeliveryReport:
     """Every hop a routed transaction took, with logical times and counts;
     every other fact of the report is read from them.

@@ -78,7 +78,7 @@ class UserSpec:
     role: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WorkloadAction:
     tick: int
     action: str

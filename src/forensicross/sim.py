@@ -163,6 +163,49 @@ class AuthorityKeys(Sequence):
         return self._key_of(self._names[index]).public_key
 
 
+class EventLog(Sequence):
+    """A run's event log, read as the records `World.emit` was given: each
+    is the dict `{"tick": tick, "event": event, **fields}`, with its keys in
+    that order, built anew each time it is read.
+
+    A record is stored as one tuple `(shape, tick, *values)`: `shape` is
+    `(event, *field names)`, interned, so every record of one event with one
+    field list shares one shape tuple, and `values` are the field values in
+    the order they were given. A run keeps every record, and a tuple takes
+    less than half the memory of its dict."""
+
+    def __init__(self):
+        self._records: list[tuple] = []
+        self._shapes: dict[tuple, tuple] = {}
+
+    def _add(self, tick: int, event: str, fields: dict) -> None:
+        """Store one record; `World.emit` is the only writer."""
+        shape = (event, *fields)
+        self._records.append((self._shapes.setdefault(shape, shape), tick, *fields.values()))
+
+    def __len__(self) -> int:
+        return len(self._records)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [_event_record(r) for r in self._records[index]]
+        return _event_record(self._records[index])
+
+    def __iter__(self):
+        return map(_event_record, self._records)
+
+    def count_event(self, event: str) -> int:
+        """The number of `event` records, read from the shapes alone."""
+        return sum(1 for record in self._records if record[0][0] == event)
+
+
+def _event_record(stored: tuple) -> dict:
+    shape, tick, *values = stored
+    record = {"tick": tick, "event": shape[0]}
+    record.update(zip(shape[1:], values))
+    return record
+
+
 class World:
     """All simulation state for one scenario run."""
 
@@ -175,7 +218,7 @@ class World:
         self.scenario = scenario
         self.design = scenario.design
         self.now = 0
-        self.events: list[dict] = []
+        self.events = EventLog()
         self.reports: dict[str, DeliveryReport] = {}
         self.bundles: list[tuple[int, object]] = []  # (tick, ProvenanceBundle)
 
@@ -276,9 +319,7 @@ class World:
         self._seq += 1
 
     def emit(self, tick: int, event: str, **fields) -> None:
-        record = {"tick": tick, "event": event}
-        record.update(fields)
-        self.events.append(record)
+        self.events._add(tick, event, fields)
 
     def run(self) -> "World":
         """Drain the event queue; the workload is finite, so this terminates."""
@@ -891,7 +932,7 @@ class World:
 
     @property
     def envelopes_sent(self) -> int:
-        return sum(e["event"] == "envelope_sent" for e in self.events)
+        return self.events.count_event("envelope_sent")
 
     def conservation(self) -> dict:
         """Message conservation: the envelopes sent and delivered, counted
@@ -905,7 +946,7 @@ class World:
         )
         return {
             "envelopes_sent": self.envelopes_sent,
-            "envelopes_delivered": sum(e["event"] == "envelope_received" for e in self.events),
+            "envelopes_delivered": self.events.count_event("envelope_received"),
             "entries_unresolved": unresolved,
         }
 

@@ -1,7 +1,9 @@
 import hashlib
 import heapq
 import json
+import pickle
 import tracemalloc
+from collections import Counter
 from dataclasses import fields, replace
 from types import SimpleNamespace
 
@@ -108,10 +110,83 @@ def test_world_reads_its_envelope_totals_from_the_event_log(scenario_dir):
     world = run_scenario(load_scenario(scenario_dir / "bridge_small.yaml"))
     with pytest.raises(AttributeError):  # a count of records, never set
         world.envelopes_sent = 0
-    world.events.append({"tick": 99, "event": "envelope_received"})
+    world.emit(99, "envelope_received")
     assert world.conservation()["envelopes_delivered"] == ENVELOPES_SENT["bridge_small"] + 1
     for copy in ("envelopes_delivered", "_mine_scheduled", "_active_rule", "_pk_to_key"):
         assert not hasattr(world, copy)
+
+
+def run_capturing_emits(scenario) -> tuple[World, list[dict]]:
+    """The finished world and the record of each `emit` call, as the dict
+    `{"tick": tick, "event": event, **fields}` it was given."""
+    world = World(scenario)
+    given = []
+    emit = world.emit
+
+    def capture(tick, event, **fields):
+        given.append({"tick": tick, "event": event, **fields})
+        emit(tick, event, **fields)
+
+    world.emit = capture
+    return world.run(), given
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_the_event_log_reads_back_each_record_emit_was_given(scenario_dir, name):
+    world, given = run_capturing_emits(load_scenario(scenario_dir / f"{name}.yaml"))
+    log = world.events
+    assert given and len(log) == len(given)
+    assert [log[i] for i in range(len(log))] == given
+    assert [list(record.items()) for record in log] == [list(g.items()) for g in given]
+    assert log[-1] == given[-1] and log[-len(given)] == given[0]
+    assert log[1:4] == given[1:4]
+    assert not hasattr(log, "append")
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_records_of_one_shape_share_one_shape_tuple(scenario_dir, name):
+    world = run_scenario(load_scenario(scenario_dir / f"{name}.yaml"))
+    first: dict[tuple, tuple] = {}
+    for record, stored in zip(world.events, world.events._records):
+        shape = stored[0]
+        assert shape == (record["event"], *list(record)[2:])
+        assert first.setdefault(shape, shape) is shape
+    assert len(first) < len(world.events)
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_conservation_equals_the_counts_over_the_records(scenario_dir, name):
+    world = run_scenario(load_scenario(scenario_dir / f"{name}.yaml"))
+    counts = Counter(record["event"] for record in world.events)
+    numbers = world.conservation()
+    assert numbers["envelopes_sent"] == counts["envelope_sent"] == world.envelopes_sent
+    assert numbers["envelopes_delivered"] == counts["envelope_received"]
+
+
+def _slotted_records(world: World) -> dict[str, object]:
+    entry = next(e for c in world.contracts.values() for e in c.entries.values())
+    report = next(iter(world.reports.values()))
+    return {
+        "TranslatedEnvelope": next(iter(entry.submissions.values())),
+        "LedgerEntry": entry,
+        "Hop": report.hops[0],
+        "DeliveryReport": report,
+        "WorkloadAction": world.scenario.workload[0],
+    }
+
+
+@pytest.mark.parametrize("name", ["TranslatedEnvelope", "LedgerEntry", "Hop", "DeliveryReport",
+                                  "WorkloadAction"])
+def test_a_slotted_run_record_pickles_and_replaces(scenario_dir, name):
+    world = run_scenario(load_scenario(scenario_dir / "lifecycle_full.yaml"))
+    record = _slotted_records(world)[name]
+    assert type(record).__name__ == name and not hasattr(record, "__dict__")
+    assert pickle.loads(pickle.dumps(record)) == record
+    assert replace(record) == record
+    first = fields(record)[0].name
+    changed = replace(record, **{first: 99})
+    assert getattr(changed, first) == 99
+    assert all(getattr(changed, f.name) == getattr(record, f.name) for f in fields(record)[1:])
 
 
 @pytest.mark.parametrize("design", [Design.MESH, Design.BRIDGE], ids=lambda d: d.value)
